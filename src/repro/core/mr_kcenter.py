@@ -12,11 +12,15 @@ Setting ``coreset_multiplier = 1`` recovers the algorithm of Malkomes et
 al. [26] (the paper's baseline in Figure 2), which is also exposed
 directly as :class:`repro.baselines.malkomes.MalkomesKCenter`.
 
-The reducers are module-level functions parameterised with
-:func:`functools.partial` over picklable arguments (the point matrix
-travels as a :class:`~repro.mapreduce.backends.SharedArray`), so the
-driver runs unchanged — and produces identical results — on every
-executor backend, including ``"processes"``.
+Both entry points run the same pipeline: the input is shuffled chunk by
+chunk into per-partition storage (``fit`` streams its matrix through
+:class:`~repro.streaming.stream.ArrayStream`), rounds 1 and 2 follow,
+and a third round scores each partition against the final centers to
+compute the radius. The reducers are module-level functions
+parameterised with :func:`functools.partial` over picklable arguments
+(partitions travel as :class:`~repro.mapreduce.backends.SharedArray`
+handles), so the driver runs unchanged — and produces identical results
+— on every executor backend, including ``"processes"``.
 """
 
 from __future__ import annotations
@@ -27,15 +31,10 @@ from functools import partial
 
 import numpy as np
 
-from .._validation import check_points, check_positive_int, check_random_state
+from .._validation import check_positive_int, check_random_state
 from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import ExecutorBackend, SharedArray
-from ..mapreduce.partitioner import (
-    draw_partition_seeds,
-    split_contiguous,
-    split_random,
-    split_round_robin,
-)
+from ..mapreduce.backends import ExecutorBackend
+from ..mapreduce.partitioner import draw_partition_seeds
 from ..mapreduce.runtime import (
     JobStats,
     MapReduceRuntime,
@@ -44,48 +43,19 @@ from ..mapreduce.runtime import (
     shuffle_point_stream,
 )
 from ..metricspace.distance import Metric, get_metric
-from .assignment import assign_to_centers
+from ..streaming.stream import ArrayStream
 from .coreset import CoresetSpec, build_coreset
 from .gmm import gmm_select
 
 __all__ = ["MRKCenterResult", "MapReduceKCenter"]
 
 
-_PARTITIONERS = {
-    "contiguous": split_contiguous,
-    "round_robin": split_round_robin,
-    "random": split_random,
-}
+_PARTITIONINGS = ("contiguous", "round_robin", "random")
 
 
 @dataclass(frozen=True)
-class _CoresetPhaseOutput:
-    """Round-1 reducer output: a partition's coreset plus its build time.
-
-    The timing rides along to the coordinator, which harvests it in the
-    round-2 mapper; only the indices continue into the shuffle, so memory
-    accounting sees exactly the same values on every backend.
-    """
-
-    indices: np.ndarray
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class _SolvePhaseOutput:
-    """Round-2 reducer output: the final solution data plus the solve time."""
-
-    center_indices: np.ndarray
-    coreset_size: int
-    elapsed: float
-
-
-# -- streamed (out-of-core) shuffle payloads and reducers ------------------------------
-
-
-@dataclass(frozen=True)
-class _StreamedCoreset:
-    """Round-1 output on the streamed path: coreset rows with global indices."""
+class _Coreset:
+    """Round-1 output: a partition's coreset rows with their global indices."""
 
     points: np.ndarray
     origin_indices: np.ndarray
@@ -96,8 +66,8 @@ class _StreamedCoreset:
 
 
 @dataclass(frozen=True)
-class _StreamedSolution:
-    """Round-2 output on the streamed path: the solution with coordinates."""
+class _Solution:
+    """Round-2 output: the solution with coordinates."""
 
     centers: np.ndarray
     center_indices: np.ndarray
@@ -107,7 +77,7 @@ class _StreamedSolution:
 
 @dataclass(frozen=True)
 class _AssignTask:
-    """Round-3 input on the streamed path: score one partition against the centers."""
+    """Round-3 input: score one partition against the centers."""
 
     partition: StreamedPartition
     centers: np.ndarray
@@ -120,72 +90,15 @@ def _coreset_reducer(
     partition_id,
     values,
     *,
-    points: SharedArray,
     spec: CoresetSpec,
     metric: Metric,
     seeds: tuple[int, ...],
 ):
-    """Build the coreset of one partition (round-1 reducer; picklable)."""
-    indices = np.concatenate(values)
-    start = time.perf_counter()
-    result = build_coreset(
-        points.array[indices],
-        spec,
-        metric,
-        weighted=False,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    return [(0, _CoresetPhaseOutput(indices[result.center_indices], elapsed))]
+    """Build the coreset of one partition (round-1 reducer; picklable).
 
-
-def _solve_reducer(
-    _key,
-    values,
-    *,
-    points: SharedArray,
-    k: int,
-    metric: Metric,
-    seed: int,
-):
-    """Run GMM on the union of the coresets (round-2 reducer; picklable)."""
-    union_indices = np.concatenate(values)
-    start = time.perf_counter()
-    solution = gmm_select(
-        points.array[union_indices],
-        k,
-        metric,
-        first_center=None,
-        random_state=seed,
-    )
-    elapsed = time.perf_counter() - start
-    return [
-        (
-            0,
-            _SolvePhaseOutput(
-                center_indices=union_indices[solution.centers],
-                coreset_size=int(union_indices.shape[0]),
-                elapsed=elapsed,
-            ),
-        )
-    ]
-
-
-def _stream_coreset_reducer(
-    partition_id,
-    values,
-    *,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build the coreset of one streamed partition (round-1 reducer; picklable).
-
-    Identical to :func:`_coreset_reducer` except that the reducer works
-    on its own partition matrix (no full shared dataset exists) and
-    therefore forwards coreset *coordinates* alongside the global
-    indices.
+    The reducer works on its own partition matrix and forwards coreset
+    *coordinates* alongside the global indices from the partition's
+    index column.
     """
     part: StreamedPartition = values[0]
     start = time.perf_counter()
@@ -201,7 +114,7 @@ def _stream_coreset_reducer(
     return [
         (
             0,
-            _StreamedCoreset(
+            _Coreset(
                 points=part.points.array[result.center_indices],
                 origin_indices=part.indices.array[result.center_indices],
                 elapsed=elapsed,
@@ -210,7 +123,7 @@ def _stream_coreset_reducer(
     ]
 
 
-def _stream_solve_reducer(
+def _solve_reducer(
     _key,
     values,
     *,
@@ -218,7 +131,7 @@ def _stream_solve_reducer(
     metric: Metric,
     seed: int,
 ):
-    """Run GMM on the union of the streamed coresets (round-2 reducer; picklable)."""
+    """Run GMM on the union of the coresets (round-2 reducer; picklable)."""
     union_points = np.concatenate([value.points for value in values])
     union_origin = np.concatenate([value.origin_indices for value in values])
     start = time.perf_counter()
@@ -233,7 +146,7 @@ def _stream_solve_reducer(
     return [
         (
             0,
-            _StreamedSolution(
+            _Solution(
                 centers=union_points[solution.centers],
                 center_indices=union_origin[solution.centers],
                 coreset_size=int(union_points.shape[0]),
@@ -243,7 +156,7 @@ def _stream_solve_reducer(
     ]
 
 
-def _stream_assign_reducer(_partition_id, values, *, metric: Metric):
+def _assign_reducer(_partition_id, values, *, metric: Metric):
     """Radius of one partition w.r.t. the final centers (round-3 reducer; picklable).
 
     Uses the blocked :meth:`~repro.metricspace.distance.Metric.nearest`
@@ -284,8 +197,7 @@ class MRKCenterResult:
     peak_working_memory_size:
         The paper's space metric (stored points): the largest working
         set any single participant held — reducers *and* the
-        coordinator. ``O(n)`` for the in-memory drive path,
-        ``O(n/ell + chunk + union coreset)`` for the streamed one.
+        coordinator: ``O(n/ell + chunk + union coreset)``.
     """
 
     centers: np.ndarray
@@ -382,9 +294,9 @@ class MapReduceKCenter:
             epsilon = 1.0
         self.epsilon = epsilon
         self.coreset_multiplier = coreset_multiplier
-        if partitioning not in _PARTITIONERS:
+        if partitioning not in _PARTITIONINGS:
             raise InvalidParameterError(
-                f"partitioning must be one of {sorted(_PARTITIONERS)}; got {partitioning!r}"
+                f"partitioning must be one of {sorted(_PARTITIONINGS)}; got {partitioning!r}"
             )
         self.partitioning = partitioning
         self.metric = get_metric(metric)
@@ -403,96 +315,16 @@ class MapReduceKCenter:
             return CoresetSpec.from_multiplier(self.k, self.coreset_multiplier)
         return CoresetSpec.from_epsilon(self.k, self.epsilon)
 
-    def _partition(self, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-        # Random partitioning can leave a part empty on tiny inputs; both
-        # MapReduce drivers handle that identically by *dropping* empty
-        # parts (the round-1 mappers skip them), which only lowers the
-        # effective parallelism — see tests/mapreduce/test_empty_partitions.py.
-        ell = min(self.ell, n)
-        if self.partitioning == "random":
-            return split_random(n, ell, random_state=rng)
-        return _PARTITIONERS[self.partitioning](n, ell)
-
-    # -- main entry point --------------------------------------------------------------
+    # -- entry points ------------------------------------------------------------------
 
     def fit(self, points) -> MRKCenterResult:
-        """Run the 2-round algorithm on ``points`` and return the solution."""
-        pts = check_points(points)
-        n = pts.shape[0]
-        if self.k > n:
-            raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
-        rng = check_random_state(self.random_state)
-        spec = self._coreset_spec()
-        parts = self._partition(n, rng)
+        """Run the algorithm on the ``(n, d)`` matrix ``points``.
 
-        # Per-partition seeds (and the second-round seed) are drawn up front
-        # so that reducers are free of shared mutable state and the result is
-        # identical on every backend (serial, thread pool, process pool).
-        partition_seeds = draw_partition_seeds(rng, len(parts))
-        final_seed = int(rng.integers(2**31 - 1))
-
-        timings = {"coreset": 0.0}
-
-        def first_round_mapper(_key, value):
-            # The mapper only routes point indices to their partition; it is
-            # the constant-space transformation the paper describes. Empty
-            # parts (possible under random partitioning on tiny inputs) are
-            # dropped, matching the outlier driver and the streamed path.
-            del value
-            for partition_id, indices in enumerate(parts):
-                if indices.size:
-                    yield (partition_id, indices)
-
-        def second_round_mapper(_key, value: _CoresetPhaseOutput):
-            # Runs in the coordinator: harvest the per-partition build times
-            # and forward only the coreset indices into the shuffle.
-            timings["coreset"] += value.elapsed
-            yield (0, value.indices)
-
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-        ) as runtime:
-            shared_pts = runtime.share_array(pts)
-            first_round_reducer = partial(
-                _coreset_reducer,
-                points=shared_pts,
-                spec=spec,
-                metric=self.metric,
-                seeds=partition_seeds,
-            )
-            second_round_reducer = partial(
-                _solve_reducer,
-                points=shared_pts,
-                k=self.k,
-                metric=self.metric,
-                seed=final_seed,
-            )
-            output = runtime.execute_job(
-                [(None, np.arange(n))],
-                [
-                    (first_round_mapper, first_round_reducer),
-                    (second_round_mapper, second_round_reducer),
-                ],
-            )
-            stats = runtime.stats
-
-        solution: _SolvePhaseOutput = output[0][1]
-        center_indices = solution.center_indices
-        clustering = assign_to_centers(pts, pts[center_indices], self.metric)
-        return MRKCenterResult(
-            centers=pts[center_indices],
-            center_indices=center_indices,
-            radius=clustering.radius,
-            coreset_size=solution.coreset_size,
-            ell=sum(1 for p in parts if p.size),
-            stats=stats,
-            coreset_time=timings["coreset"],
-            solve_time=solution.elapsed,
-            peak_working_memory_size=stats.peak_working_memory_size,
-        )
+        Shorthand for :meth:`fit_stream` over an
+        :class:`~repro.streaming.stream.ArrayStream` of ``points`` with
+        the default chunking and storage tier.
+        """
+        return self.fit_stream(ArrayStream(points))
 
     def fit_stream(
         self,
@@ -503,21 +335,20 @@ class MapReduceKCenter:
         spill_dir: str | None = None,
         memory_budget_bytes: int | None = None,
     ) -> MRKCenterResult:
-        """Run the 2-round algorithm on a chunked point stream, out of core.
+        """Run the algorithm on a chunked point stream, out of core.
 
-        Equivalent to :meth:`fit` on the same points in the same order —
-        bit-identical centers, indices and radius on every backend — but
-        the coordinator never materialises the ``(n, d)`` matrix: chunks
-        are routed straight into per-partition buffers (shared-memory
-        segments under the ``"processes"`` backend), the reducers build
-        their coresets from their own partitions, and the final radius is
-        computed by a third MapReduce round that scores each partition
-        against the centers with the blocked
+        The coordinator never materialises the ``(n, d)`` matrix: chunks
+        are routed straight into per-partition storage (files under
+        ``/dev/shm`` under the ``"processes"`` backend), the reducers
+        build their coresets from their own partitions, and the final
+        radius is computed by a third MapReduce round that scores each
+        partition against the centers with the blocked
         :meth:`~repro.metricspace.distance.Metric.nearest` kernel. The
         coordinator's working set is ``O(chunk_size + union coreset)``
         (see ``stats.coordinator_peak_items``), which restores the
         paper's memory model: dataset size is bounded by the *reducers'*
-        memory, not the coordinator's.
+        memory, not the coordinator's. Centers, indices and radius are
+        bit-identical on every backend, storage tier and chunk size.
 
         Parameters
         ----------
@@ -527,10 +358,8 @@ class MapReduceKCenter:
             :class:`~repro.streaming.stream.GeneratorStream`).
             ``"contiguous"`` partitioning needs a stream with a known
             length (``len(stream)``); unknown-length sources can use
-            ``"round_robin"`` or ``"random"``. For unknown-length
-            streams ``ell`` is used as given (the in-memory path caps it
-            at ``n``), so exact ``fit`` equivalence additionally needs
-            ``ell <= n`` or a sized stream.
+            ``"round_robin"`` or ``"random"``. ``ell`` is capped at the
+            stream length when it is known and used as given otherwise.
         chunk_size:
             Rows per routing chunk; also the coordinator's transient
             working set during the shuffle.
@@ -582,7 +411,7 @@ class MapReduceKCenter:
                 coreset_pairs,
                 identity_mapper,
                 partial(
-                    _stream_coreset_reducer,
+                    _coreset_reducer,
                     spec=spec,
                     metric=self.metric,
                     seeds=partition_seeds,
@@ -590,11 +419,11 @@ class MapReduceKCenter:
             )
             coreset_time = sum(value.elapsed for _, value in coreset_outputs)
 
-            solution: _StreamedSolution = runtime.execute_round(
+            solution: _Solution = runtime.execute_round(
                 coreset_outputs,
                 identity_mapper,
                 partial(
-                    _stream_solve_reducer,
+                    _solve_reducer,
                     k=self.k,
                     metric=self.metric,
                     seed=final_seed,
@@ -612,7 +441,7 @@ class MapReduceKCenter:
             assign_outputs = runtime.execute_round(
                 assign_pairs,
                 identity_mapper,
-                partial(_stream_assign_reducer, metric=self.metric),
+                partial(_assign_reducer, metric=self.metric),
             )
             radius = max(value for _, value in assign_outputs)
             stats = runtime.stats

@@ -17,6 +17,11 @@ Both variants accept the paper's experimental knob ``coreset_multiplier``
 deterministic variant then uses coresets of size ``mu * (k + z)`` and the
 randomized one ``mu * (k + 6 z / ell)``, exactly the configurations of
 Figure 4.
+
+Both entry points run the pipeline described in
+:mod:`repro.core.mr_kcenter`: a chunked shuffle into per-partition
+storage, the two rounds above, and an assignment round that computes
+the radii and the outlier set.
 """
 
 from __future__ import annotations
@@ -30,19 +35,12 @@ import numpy as np
 
 from .._validation import (
     check_non_negative_int,
-    check_points,
     check_positive_int,
     check_random_state,
 )
 from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import ExecutorBackend, SharedArray
-from ..mapreduce.partitioner import (
-    draw_partition_seeds,
-    split_adversarial,
-    split_contiguous,
-    split_random,
-    split_round_robin,
-)
+from ..mapreduce.backends import ExecutorBackend
+from ..mapreduce.partitioner import draw_partition_seeds
 from ..mapreduce.runtime import (
     JobStats,
     MapReduceRuntime,
@@ -52,7 +50,7 @@ from ..mapreduce.runtime import (
 )
 from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
-from .assignment import assign_to_centers
+from ..streaming.stream import ArrayStream
 from .coreset import CoresetSpec, build_coreset
 from .outliers_cluster import OutliersClusterSolver
 from .radius_search import search_radius
@@ -64,9 +62,9 @@ __all__ = ["MROutliersResult", "MapReduceKCenterOutliers"]
 class _CoresetPhaseOutput:
     """Round-1 reducer output: a partition's weighted coreset plus its build time.
 
-    The timing rides along to the coordinator, which harvests it in the
-    round-2 mapper; only the coreset continues into the shuffle, so memory
-    accounting sees exactly the same values on every backend.
+    The coordinator sums the timings; only the coreset continues into
+    round 2, so memory accounting sees exactly the same values on every
+    backend.
     """
 
     coreset: WeightedPoints
@@ -86,16 +84,18 @@ def _coreset_reducer(
     partition_id,
     values,
     *,
-    points: SharedArray,
     spec: CoresetSpec,
     metric: Metric,
     seeds: tuple[int, ...],
 ):
-    """Build one partition's weighted coreset (round-1 reducer; picklable)."""
-    indices = np.concatenate(values)
+    """Build one partition's weighted coreset (round-1 reducer; picklable).
+
+    Global origin indices come from the partition's index column.
+    """
+    part: StreamedPartition = values[0]
     start = time.perf_counter()
     result = build_coreset(
-        points.array[indices],
+        part.points.array,
         spec,
         metric,
         weighted=True,
@@ -107,7 +107,7 @@ def _coreset_reducer(
     coreset = WeightedPoints(
         points=result.coreset.points,
         weights=result.coreset.weights,
-        origin_indices=indices[result.center_indices],
+        origin_indices=part.indices.array[result.center_indices],
     )
     return [(0, _CoresetPhaseOutput(coreset, elapsed))]
 
@@ -130,47 +130,9 @@ def _solve_reducer(
     return [(0, _SolvePhaseOutput(union, search, elapsed))]
 
 
-# -- streamed (out-of-core) shuffle reducers -------------------------------------------
-
-
-def _stream_coreset_reducer(
-    partition_id,
-    values,
-    *,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build one streamed partition's weighted coreset (round-1 reducer; picklable).
-
-    Identical to :func:`_coreset_reducer` except that the reducer works
-    on its own partition matrix instead of indexing a full shared
-    dataset; global origin indices come from the partition's index
-    column.
-    """
-    part: StreamedPartition = values[0]
-    start = time.perf_counter()
-    result = build_coreset(
-        part.points.array,
-        spec,
-        metric,
-        weighted=True,
-        origin_offset=0,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    coreset = WeightedPoints(
-        points=result.coreset.points,
-        weights=result.coreset.weights,
-        origin_indices=part.indices.array[result.center_indices],
-    )
-    return [(0, _CoresetPhaseOutput(coreset, elapsed))]
-
-
 @dataclass(frozen=True)
 class _OutlierAssignTask:
-    """Round-3 input on the streamed path: score one partition against the centers."""
+    """Round-3 input: score one partition against the centers."""
 
     partition: StreamedPartition
     centers: np.ndarray
@@ -180,7 +142,7 @@ class _OutlierAssignTask:
         return len(self.partition)
 
 
-def _stream_assign_reducer(_partition_id, values, *, metric: Metric):
+def _assign_reducer(_partition_id, values, *, metric: Metric):
     """Per-partition distance summary vs the final centers (round-3; picklable).
 
     Uses the blocked :meth:`~repro.metricspace.distance.Metric.nearest`
@@ -195,8 +157,8 @@ def _stream_assign_reducer(_partition_id, values, *, metric: Metric):
     distances, _ = metric.nearest(task.partition.points.array, task.centers)
     keep = min(task.z + 1, distances.shape[0])
     # Order by (distance, global index) — the same tie-break the global
-    # selection uses — so the kept candidates are exactly the ones the
-    # in-memory path would pick among equal distances.
+    # selection uses — so the kept candidates are exactly the ones a
+    # global selection would pick among equal distances.
     order = np.lexsort((indices, distances))[-keep:]
     return [(0, (distances[order], indices[order]))]
 
@@ -236,8 +198,7 @@ class MROutliersResult:
     peak_working_memory_size:
         The paper's space metric (stored points): the largest working
         set any single participant held — reducers *and* the
-        coordinator. ``O(n)`` for the in-memory drive path,
-        ``O(n/ell + chunk + union coreset)`` for the streamed one.
+        coordinator: ``O(n/ell + chunk + union coreset)``.
     """
 
     centers: np.ndarray
@@ -386,112 +347,16 @@ class MapReduceKCenterOutliers:
             return CoresetSpec.from_multiplier(base, self.coreset_multiplier)
         return CoresetSpec.from_epsilon(base, self.epsilon)
 
-    def _partition(self, n: int, ell: int, rng: np.random.Generator) -> list[np.ndarray]:
-        # Empty parts (possible under random partitioning on tiny inputs)
-        # are dropped by the round-1 mapper, identically in both MapReduce
-        # drivers — see tests/mapreduce/test_empty_partitions.py.
-        if self.randomized or self.partitioning == "random":
-            return split_random(n, ell, random_state=rng)
-        if self.partitioning == "adversarial":
-            return split_adversarial(
-                n, ell, self.adversarial_indices, random_state=rng
-            )
-        if self.partitioning == "round_robin":
-            return split_round_robin(n, ell)
-        return split_contiguous(n, ell)
-
-    # -- main entry point --------------------------------------------------------------
+    # -- entry points ------------------------------------------------------------------
 
     def fit(self, points) -> MROutliersResult:
-        """Run the 2-round algorithm on ``points`` and return the solution."""
-        pts = check_points(points)
-        n = pts.shape[0]
-        if self.k > n:
-            raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
-        if self.z >= n:
-            raise InvalidParameterError(f"z={self.z} must be smaller than the dataset size {n}")
-        rng = check_random_state(self.random_state)
-        ell = min(self.ell, n)
-        spec = self._coreset_spec(n, ell)
-        parts = self._partition(n, ell, rng)
+        """Run the algorithm on the ``(n, d)`` matrix ``points``.
 
-        # Per-partition seeds are drawn up front so reducers carry no shared
-        # random state; results are identical on every backend (serial,
-        # thread pool, process pool).
-        partition_seeds = draw_partition_seeds(rng, len(parts))
-
-        timings = {"coreset": 0.0}
-
-        def first_round_mapper(_key, value):
-            del value
-            for partition_id, indices in enumerate(parts):
-                if indices.size:
-                    yield (partition_id, indices)
-
-        def second_round_mapper(_key, value: _CoresetPhaseOutput):
-            # Runs in the coordinator: harvest the per-partition build times
-            # and forward only the weighted coresets into the shuffle.
-            timings["coreset"] += value.elapsed
-            yield (0, value.coreset)
-
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-        ) as runtime:
-            shared_pts = runtime.share_array(pts)
-            first_round_reducer = partial(
-                _coreset_reducer,
-                points=shared_pts,
-                spec=spec,
-                metric=self.metric,
-                seeds=partition_seeds,
-            )
-            second_round_reducer = partial(
-                _solve_reducer,
-                k=self.k,
-                z=self.z,
-                eps_hat=self.eps_hat,
-                metric=self.metric,
-            )
-            output = runtime.execute_job(
-                [(None, np.arange(n))],
-                [
-                    (first_round_mapper, first_round_reducer),
-                    (second_round_mapper, second_round_reducer),
-                ],
-            )
-            stats = runtime.stats
-
-        solution: _SolvePhaseOutput = output[0][1]
-        union = solution.union
-        search = solution.search
-        coreset_center_positions = search.solution.center_indices
-        centers = union.points[coreset_center_positions]
-        center_indices = (
-            union.origin_indices[coreset_center_positions]
-            if union.origin_indices is not None
-            else np.full(coreset_center_positions.shape[0], -1, dtype=np.intp)
-        )
-
-        clustering = assign_to_centers(pts, centers, self.metric)
-        return MROutliersResult(
-            centers=centers,
-            center_indices=center_indices,
-            radius=clustering.radius_excluding(self.z),
-            radius_all_points=clustering.radius,
-            outlier_indices=clustering.outlier_indices(self.z),
-            estimated_radius=search.radius,
-            coreset_size=len(union),
-            ell=sum(1 for p in parts if p.size),
-            randomized=self.randomized,
-            stats=stats,
-            coreset_time=timings["coreset"],
-            solve_time=solution.elapsed,
-            search_probes=search.probes,
-            peak_working_memory_size=stats.peak_working_memory_size,
-        )
+        Shorthand for :meth:`fit_stream` over an
+        :class:`~repro.streaming.stream.ArrayStream` of ``points`` with
+        the default chunking and storage tier.
+        """
+        return self.fit_stream(ArrayStream(points))
 
     def fit_stream(
         self,
@@ -502,30 +367,27 @@ class MapReduceKCenterOutliers:
         spill_dir: str | None = None,
         memory_budget_bytes: int | None = None,
     ) -> MROutliersResult:
-        """Run the 2-round algorithm on a chunked point stream, out of core.
+        """Run the algorithm on a chunked point stream, out of core.
 
-        Equivalent to :meth:`fit` on the same points in the same order —
-        bit-identical centers, radii and outlier sets on every backend —
-        without the coordinator ever materialising the ``(n, d)``
-        matrix. The shuffle routes chunks directly into per-partition
-        buffers (shared-memory segments under the ``"processes"``
-        backend); a third MapReduce round evaluates the final solution
-        by scoring each partition against the centers with the blocked
+        The coordinator never materialises the ``(n, d)`` matrix. The
+        shuffle routes chunks directly into per-partition storage (files
+        under ``/dev/shm`` under the ``"processes"`` backend); a third
+        MapReduce round evaluates the final solution by scoring each
+        partition against the centers with the blocked
         :meth:`~repro.metricspace.distance.Metric.nearest` kernel and
         returning only its ``z + 1`` largest distances, from which the
         coordinator reconstructs the exact global outlier set and radii.
+        Centers, radii and outlier sets are bit-identical on every
+        backend, storage tier and chunk size.
 
         Parameters
         ----------
         stream:
             A :class:`~repro.streaming.stream.PointStream`, or any
-            iterable of points / point batches. ``"contiguous"``
-            partitioning needs a known stream length;
-            ``"adversarial"`` partitioning is inherently offline and not
-            supported here. For unknown-length streams ``ell`` is used
-            as given (the in-memory path caps it at ``n``), so exact
-            ``fit`` equivalence additionally needs ``ell <= n`` or a
-            sized stream.
+            iterable of points / point batches. ``"contiguous"`` and
+            ``"adversarial"`` partitioning need a known stream length.
+            ``ell`` is capped at the stream length when it is known and
+            used as given otherwise.
         chunk_size:
             Rows per routing chunk; also the coordinator's transient
             working set during the shuffle.
@@ -543,11 +405,6 @@ class MapReduceKCenterOutliers:
             In-memory partition budget consulted by ``storage="auto"``.
         """
         chunk_size = check_positive_int(chunk_size, name="chunk_size")
-        if self.partitioning == "adversarial" and not self.randomized:
-            raise InvalidParameterError(
-                "adversarial partitioning requires the full index set up front "
-                "and cannot be streamed; use fit() instead"
-            )
         rng = check_random_state(self.random_state)
         partitioning = (
             "random" if self.randomized or self.partitioning == "random"
@@ -570,6 +427,7 @@ class MapReduceKCenterOutliers:
                 partitioning=partitioning,
                 rng=rng,
                 chunk_size=chunk_size,
+                adversarial_indices=self.adversarial_indices,
             )
             if self.k > n:
                 raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
@@ -589,7 +447,7 @@ class MapReduceKCenterOutliers:
                 coreset_pairs,
                 identity_mapper,
                 partial(
-                    _stream_coreset_reducer,
+                    _coreset_reducer,
                     spec=spec,
                     metric=self.metric,
                     seeds=partition_seeds,
@@ -628,14 +486,14 @@ class MapReduceKCenterOutliers:
             assign_outputs = runtime.execute_round(
                 assign_pairs,
                 identity_mapper,
-                partial(_stream_assign_reducer, metric=self.metric),
+                partial(_assign_reducer, metric=self.metric),
             )
             stats = runtime.stats
 
         # Merge the per-partition top-(z+1) summaries into the global
         # outlier set. Sorting by (distance, index) reproduces the stable
-        # tie-break of Clustering.outlier_indices, so the streamed path
-        # selects exactly the outliers the in-memory path selects.
+        # tie-break of Clustering.outlier_indices, so the merge selects
+        # exactly the outliers a global selection would.
         top_distances = np.concatenate([value[0] for _, value in assign_outputs])
         top_indices = np.concatenate([value[1] for _, value in assign_outputs])
         order = np.lexsort((top_indices, top_distances))

@@ -18,38 +18,26 @@ which three implementations are provided:
   entirely, so pure-Python reducer work also scales, at the price of
   pickling the reducer callable and its per-group values for every task.
 
-To keep the process backend cheap for the dominant payload — the point
-matrix, which every reducer of the k-center drivers needs — large NumPy
-arrays can be published once through :meth:`ExecutorBackend.share_array`
-and referenced from reducers as a :class:`SharedArray`. Under the process
-backend the array is copied a single time into POSIX shared memory
-(:mod:`multiprocessing.shared_memory`); worker processes attach to the
-segment by name when they first unpickle a reference, so shipping a task
-costs a few bytes of metadata instead of the matrix. Under the serial and
-thread backends :class:`SharedArray` is a zero-copy wrapper around the
-original array.
-
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
 live* while they are being assembled. That is the :class:`PartitionStore`
-protocol, with three tiers (see :func:`resolve_storage`):
+protocol, with two implementations behind three tiers (see
+:func:`resolve_storage`):
 
 * :class:`MemoryPartitionStore` (``"memory"``) — plain NumPy arrays in
   the coordinator's address space; the natural tier for the serial and
   thread backends (their reducers share that address space anyway).
-* :class:`SharedMemoryPartitionStore` (``"shared"``) — POSIX
-  shared-memory segments, bounded by ``/dev/shm`` (typically half of
-  RAM); the natural tier for the process backend, whose workers attach
-  to a sealed partition by segment name instead of receiving a pickled
-  copy.
-* :class:`DiskPartitionStore` (``"disk"``) — per-partition ``.npy``
-  spill files that chunks are appended to and that :meth:`finalize
-  <DiskPartitionStore.finalize>` reopens as read-only
+* :class:`DiskPartitionStore` (``"shared"`` and ``"disk"``) —
+  per-partition ``.npy`` files that chunks are appended to and that
+  :meth:`finalize <DiskPartitionStore.finalize>` reopens as read-only
   :class:`numpy.memmap` matrices. Worker processes open the file by
-  *path* when they unpickle a handle — the disk twin of the
-  shared-memory by-name handoff, again without pickling any row data —
-  which lifts the ``/dev/shm`` ceiling on single-host dataset size: a
-  reducer's working set stays ``O(n/ell)`` resident while the sealed
-  partitions live on disk.
+  *path* when they unpickle a handle, so no row data is ever pickled.
+  The two tiers differ only in where the files live: ``"shared"`` puts
+  them in a runtime-owned directory under ``/dev/shm`` (RAM-backed, so
+  the memmaps are shared memory; the natural tier for the process
+  backend), ``"disk"`` in a spill directory on disk, which lifts the
+  ``/dev/shm`` ceiling on single-host dataset size: a reducer's working
+  set stays ``O(n/ell)`` resident while the sealed partitions live on
+  disk.
 
 :class:`PartitionBuffer` validates and appends rows and delegates the
 actual storage to one of these tiers.
@@ -64,11 +52,9 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
 from typing import Hashable, Protocol, runtime_checkable
 
 import numpy as np
@@ -83,7 +69,6 @@ __all__ = [
     "SharedArray",
     "PartitionStore",
     "MemoryPartitionStore",
-    "SharedMemoryPartitionStore",
     "DiskPartitionStore",
     "PartitionBuffer",
     "available_backends",
@@ -109,78 +94,10 @@ def _timed_reduce(reducer, key, values):
 # -- shared arrays ---------------------------------------------------------------------
 
 
-_ATTACHED_SEGMENTS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-"""Per-process cache of shared-memory segments attached by :func:`_attach_shared_array`.
-
-Keeping the :class:`~multiprocessing.shared_memory.SharedMemory` object
-alive here is load-bearing: if it were garbage collected, the buffer
-backing the returned array views would be unmapped under them. The cache
-is bounded by :func:`_evict_released_segments`: once nothing outside the
-cache references a segment's view (all tasks using it are done), the
-attachment is closed on the next attach — so a long-lived, caller-owned
-process pool reused across many runs does not accumulate mappings of
-segments the coordinator has long unlinked.
-"""
-
-
-def _evict_released_segments() -> None:
-    """Close cached attachments that no task references anymore.
-
-    CPython reference counting makes this exact: the view's references
-    are the cache tuple, the local binding below, and ``getrefcount``'s
-    own argument — three in total when no :class:`SharedArray` (or any
-    array derived from the view without a copy) is alive outside the
-    cache. Entries still in use are left untouched.
-    """
-    for name in list(_ATTACHED_SEGMENTS):
-        segment, view = _ATTACHED_SEGMENTS[name]
-        if sys.getrefcount(view) <= 3:
-            del _ATTACHED_SEGMENTS[name]
-            del view
-            segment.close()
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker involvement.
-
-    On Python < 3.13 every attach registers the segment with a resource
-    tracker, which then tries to unlink it at process exit — wrong for
-    segments owned by the coordinator (and a source of tracker warnings).
-    Python 3.13+ exposes ``track=False``; for older versions registration
-    is suppressed for the duration of the attach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13 has no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def _attach_shared_array(meta: tuple[str, tuple, str]) -> "SharedArray":
-    """Reconstruct a :class:`SharedArray` in a worker process from its metadata."""
-    name, shape, dtype = meta
-    _evict_released_segments()
-    cached = _ATTACHED_SEGMENTS.get(name)
-    if cached is None:
-        segment = _attach_untracked(name)
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-        view.flags.writeable = False
-        _ATTACHED_SEGMENTS[name] = (segment, view)
-        cached = (segment, view)
-    return SharedArray(cached[1], meta=meta)
-
-
 _SPILL_PATH_RESOLVER = None
 """Optional hook translating spill paths at attach time.
 
-Distributed workers receive disk-tier spill files pushed by value (see
+Distributed workers receive partition files pushed by value (see
 :mod:`repro.mapreduce.worker`) and store them under their own spill
 directory; the hook maps the coordinator-side path carried by a pickled
 handle to the worker-local copy. ``None`` (the default everywhere except
@@ -219,70 +136,34 @@ def _rebuild_by_value(array: np.ndarray) -> "SharedArray":
 class SharedArray:
     """A read-only NumPy array that reducers can reference cheaply on any backend.
 
-    Instances are created by :meth:`ExecutorBackend.share_array` and by
-    the partition stores' ``finalize``. Under the serial and thread
-    backends the wrapper holds the original array (zero copy). Under the
-    process backend the data lives out of line and pickling serialises
-    only a handle: ``(name, shape, dtype)`` for a shared-memory segment,
-    ``(path, shape, dtype)`` for an on-disk ``.npy`` spill file that the
-    worker memory-maps read-only. Handles from the in-process memory
-    tier can optionally pickle their rows by value (``by_value=True``),
-    which is correct on every backend but pays the copy.
+    Instances are created by the partition stores' ``finalize``. A
+    file-backed handle (the ``"shared"`` and ``"disk"`` tiers) views a
+    memory-mapped ``.npy`` file and pickles as ``(path, shape, dtype)``,
+    which the receiving process memory-maps read-only. A memory-tier
+    handle pickles its rows by value (``by_value=True``), which is
+    correct on every backend but pays the copy.
     """
 
-    __slots__ = ("_array", "_segment", "_meta", "_spill_meta", "_owns_spill", "_by_value")
+    __slots__ = ("_array", "_spill_meta", "_owns_spill", "_by_value")
 
     def __init__(
         self,
         array: np.ndarray,
         *,
-        segment: shared_memory.SharedMemory | None = None,
-        meta: tuple[str, tuple, str] | None = None,
         spill_meta: tuple[str, tuple, str] | None = None,
         owns_spill: bool = False,
         by_value: bool = False,
     ) -> None:
         self._array = array
-        self._segment = segment
-        self._meta = meta
         self._spill_meta = spill_meta
         self._owns_spill = owns_spill
         self._by_value = by_value
 
     @classmethod
-    def wrap(cls, array) -> "SharedArray":
-        """Zero-copy wrapper for in-process backends."""
-        return cls(np.asarray(array))
-
-    @classmethod
-    def copy_to_shared_memory(cls, array) -> "SharedArray":
-        """Copy ``array`` once into a new shared-memory segment (owned by the caller)."""
-        arr = np.ascontiguousarray(array)
-        segment = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
-        view[...] = arr
-        view.flags.writeable = False
-        return cls(view, segment=segment, meta=(segment.name, arr.shape, arr.dtype.str))
-
-    @classmethod
-    def from_filled_segment(
-        cls, segment: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype
-    ) -> "SharedArray":
-        """Wrap an already-filled shared-memory segment without copying.
-
-        Used by :class:`PartitionBuffer` to hand off a partition matrix it
-        assembled chunk by chunk; ownership of ``segment`` transfers to
-        the returned wrapper (its :meth:`close` unlinks the segment).
-        """
-        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-        view.flags.writeable = False
-        return cls(view, segment=segment, meta=(segment.name, shape, np.dtype(dtype).str))
-
-    @classmethod
     def from_spill_file(
         cls, path: str, shape: tuple, dtype, *, owner: bool = False
     ) -> "SharedArray":
-        """Memory-map an on-disk ``.npy`` spill file without copying it.
+        """Memory-map an ``.npy`` partition file without copying it.
 
         Used by :class:`DiskPartitionStore` to hand off a partition it
         appended chunk by chunk. The owner-side handle (``owner=True``)
@@ -327,33 +208,23 @@ class SharedArray:
         return self._array[item]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if dtype is not None:
-            return self._array.astype(dtype)
-        return self._array
+        # NumPy's own semantics: copy=True always copies, copy=False raises
+        # ValueError when a copy would be needed, None copies only if needed.
+        return np.array(self._array, dtype=dtype, copy=copy)
 
     def __reduce__(self):
-        if self._meta is not None:
-            return (_attach_shared_array, (self._meta,))
         if self._spill_meta is not None:
             return (_attach_spilled_array, (self._spill_meta,))
         if self._by_value:
             return (_rebuild_by_value, (np.asarray(self._array),))
         raise TypeError(
             "this SharedArray wraps a plain in-process array and cannot be "
-            "sent to another process; obtain it from a process backend's "
-            "share_array() instead"
+            "sent to another process; obtain it from a file-backed or "
+            "by-value partition store instead"
         )
 
     def close(self) -> None:
-        """Release the backing storage (owner side: also unlink/delete it)."""
-        if self._segment is not None:
-            self._array = np.empty(0, dtype=self._array.dtype)
-            self._segment.close()
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._segment = None
+        """Release the backing storage (owner side: also delete the file)."""
         if self._owns_spill and self._spill_meta is not None:
             # Drop the memmap view before deleting the file; on POSIX the
             # unlink is safe even if stray views are still mapped.
@@ -414,29 +285,26 @@ def _partition_shape(dimension: int | None, capacity) -> tuple:
     return (capacity, dimension)
 
 
-class _GrowableStore:
-    """Shared capacity-doubling append logic of the two in-memory tiers."""
+class MemoryPartitionStore:
+    """Partition rows in a plain NumPy array in the coordinator's address space.
+
+    The right tier for the serial and thread backends, whose reducers
+    share the coordinator's memory. The array grows geometrically
+    (amortised O(1) appends). The sealed handle pickles its rows *by
+    value*, so the tier stays usable (at a copy cost) even under the
+    process backend.
+    """
+
+    tier = "memory"
 
     def __init__(self, dimension: int | None, dtype: np.dtype, initial_capacity: int) -> None:
         self._dimension = dimension
         self._dtype = dtype
         self._n = 0
-        self._segment, self._storage = self._allocate(initial_capacity)
+        self._storage = np.empty(self._shape(initial_capacity), dtype=dtype)
 
     def _shape(self, capacity) -> tuple:
         return _partition_shape(self._dimension, capacity)
-
-    def _allocate(self, capacity: int):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @staticmethod
-    def _release(segment: shared_memory.SharedMemory | None) -> None:
-        if segment is not None:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
 
     @property
     def n_rows(self) -> int:
@@ -451,62 +319,19 @@ class _GrowableStore:
         needed = self._n + m
         capacity = self._storage.shape[0]
         if needed > capacity:
-            new_segment, grown = self._allocate(max(needed, 2 * capacity))
+            grown = np.empty(self._shape(max(needed, 2 * capacity)), dtype=self._dtype)
             grown[: self._n] = self._storage[: self._n]
-            old_segment, self._segment = self._segment, new_segment
             self._storage = grown
-            self._release(old_segment)
         self._storage[self._n : needed] = rows
         self._n = needed
-
-    def close(self) -> None:
-        if self._segment is not None:
-            self._storage = np.empty(self._shape(0), dtype=self._dtype)
-            segment, self._segment = self._segment, None
-            self._release(segment)
-
-
-class MemoryPartitionStore(_GrowableStore):
-    """Partition rows in a plain NumPy array in the coordinator's address space.
-
-    The right tier for the serial and thread backends, whose reducers
-    share the coordinator's memory. The sealed handle pickles its rows
-    *by value*, so the tier stays usable (at a copy cost) even under the
-    process backend.
-    """
-
-    tier = "memory"
-
-    def _allocate(self, capacity: int):
-        return None, np.empty(self._shape(capacity), dtype=self._dtype)
 
     def finalize(self) -> SharedArray:
         view = self._storage[: self._n]
         view.flags.writeable = False
         return SharedArray(view, by_value=True)
 
-
-class SharedMemoryPartitionStore(_GrowableStore):
-    """Partition rows in a POSIX shared-memory segment.
-
-    The right tier for the process backend: :meth:`finalize` transfers
-    the filled segment to the returned :class:`SharedArray`, which
-    worker processes attach to *by name* instead of receiving a pickled
-    copy. Capacity is bounded by ``/dev/shm`` (typically half of RAM).
-    """
-
-    tier = "shared"
-
-    def _allocate(self, capacity: int):
-        shape = self._shape(capacity)
-        nbytes = int(np.prod(shape)) * self._dtype.itemsize
-        segment = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        return segment, np.ndarray(shape, dtype=self._dtype, buffer=segment.buf)
-
-    def finalize(self) -> SharedArray:
-        segment = self._segment
-        self._segment = None
-        return SharedArray.from_filled_segment(segment, self._shape(self._n), self._dtype)
+    def close(self) -> None:
+        self._storage = np.empty(self._shape(0), dtype=self._dtype)
 
 
 _NPY_HEADER_SIZE = 128
@@ -533,27 +358,35 @@ def _npy_header(shape: tuple, dtype: np.dtype) -> bytes:
 
 
 class DiskPartitionStore:
-    """Partition rows appended to an on-disk ``.npy`` spill file.
+    """Partition rows appended to an ``.npy`` file: the ``"shared"`` and ``"disk"`` tiers.
 
     Chunks are written straight through to the file (the coordinator
     keeps no copy), a placeholder header is rewritten with the true
     shape at finalize time, and the sealed partition is reopened as a
     read-only :class:`numpy.memmap`. Worker processes unpickling the
-    handle open the file by path — no row data is ever pickled — so the
-    tier mirrors the shared-memory by-name handoff while being bounded
-    by disk instead of ``/dev/shm``.
+    handle open the file by path, so no row data is ever pickled.
+
+    The tier only names where ``spill_dir`` lives: under ``"shared"`` it
+    is a RAM-backed directory (``/dev/shm``), so the file's bytes are
+    shared memory and :attr:`spilled_bytes` stays 0; under ``"disk"``
+    every byte written counts as spilled.
     """
 
-    tier = "disk"
-
-    def __init__(self, dimension: int | None, dtype: np.dtype, spill_dir: str) -> None:
+    def __init__(
+        self, dimension: int | None, dtype: np.dtype, spill_dir: str, *, tier: str = "disk"
+    ) -> None:
+        self.tier = tier
         self._dimension = dimension
         self._dtype = dtype
         self._n = 0
-        self._spilled = 0
+        self._written = 0
         self._path = os.path.join(os.fspath(spill_dir), f"part-{uuid.uuid4().hex}.npy")
         self._file = open(self._path, "w+b")
-        self._file.write(b"\0" * _NPY_HEADER_SIZE)
+        try:
+            self._file.write(b"\0" * _NPY_HEADER_SIZE)
+        except BaseException:
+            self.close()
+            raise
 
     def _shape(self, capacity) -> tuple:
         return _partition_shape(self._dimension, capacity)
@@ -564,13 +397,13 @@ class DiskPartitionStore:
 
     @property
     def spilled_bytes(self) -> int:
-        return self._spilled
+        return self._written if self.tier == "disk" else 0
 
     def append(self, rows: np.ndarray) -> None:
         data = np.ascontiguousarray(rows)
         self._file.write(data.data)
         self._n += rows.shape[0]
-        self._spilled += data.nbytes
+        self._written += data.nbytes
 
     def finalize(self) -> SharedArray:
         shape = self._shape(self._n)
@@ -610,9 +443,10 @@ def resolve_storage(
 ) -> str:
     """Turn a storage knob (``"auto"``/``"memory"``/``"shared"``/``"disk"``) into a tier.
 
-    ``"auto"`` (or ``None``) preserves the historical pairing — shared
-    memory under a backend with ``uses_shared_memory`` (the process
-    pool), plain in-process arrays otherwise — unless a
+    ``"auto"`` (or ``None``) preserves the historical pairing — the
+    backend's ``default_storage``: ``"shared"`` (files under
+    ``/dev/shm``) for the process pool, plain in-process arrays
+    otherwise — unless a
     ``memory_budget_bytes`` is given and the shuffle's estimated
     partition-tier footprint exceeds it (or is unknown, for unsized
     streams), in which case the shuffle spills to disk.
@@ -630,7 +464,7 @@ def resolve_storage(
         estimated_bytes is None or estimated_bytes > memory_budget_bytes
     ):
         return "disk"
-    return "shared" if getattr(backend, "uses_shared_memory", False) else "memory"
+    return getattr(backend, "default_storage", "memory")
 
 
 class PartitionBuffer:
@@ -643,19 +477,17 @@ class PartitionBuffer:
 
     * ``storage="memory"`` — a plain NumPy array in the current address
       space (:class:`MemoryPartitionStore`);
-    * ``storage="shared"`` — a POSIX shared-memory segment
-      (:class:`SharedMemoryPartitionStore`);
-    * ``storage="disk"`` — an on-disk ``.npy`` spill file
-      (:class:`DiskPartitionStore`; requires ``spill_dir``).
+    * ``storage="shared"`` or ``"disk"`` — an ``.npy`` file in
+      ``spill_dir`` (:class:`DiskPartitionStore`; the caller picks a
+      RAM-backed directory for ``"shared"``).
 
-    The legacy ``shared=`` flag maps to ``"shared"``/``"memory"`` when
-    ``storage`` is not given. The in-memory tiers grow geometrically
-    (amortised O(1) appends; for unknown-length streams the overshoot is
-    at most 2x the partition size, and exact-size preallocation is
-    available through ``initial_capacity``); the disk tier appends
-    straight to its file. ``dimension=None`` stores scalar rows (a 1-d
-    buffer), which the drivers use for the global-index column that
-    rides along with each partition's points.
+    The memory tier grows geometrically (amortised O(1) appends; for
+    unknown-length streams the overshoot is at most 2x the partition
+    size, and exact-size preallocation is available through
+    ``initial_capacity``); the file tiers append straight to their file.
+    ``dimension=None`` stores scalar rows (a 1-d buffer), which the
+    drivers use for the global-index column that rides along with each
+    partition's points.
     """
 
     def __init__(
@@ -663,17 +495,14 @@ class PartitionBuffer:
         dimension: int | None,
         *,
         dtype=np.float64,
-        shared: bool = False,
         initial_capacity: int = 1024,
-        storage: str | None = None,
+        storage: str = "memory",
         spill_dir: str | None = None,
     ) -> None:
         if dimension is not None and dimension < 1:
             raise InvalidParameterError("dimension must be >= 1 (or None for 1-d rows)")
         if initial_capacity < 1:
             raise InvalidParameterError("initial_capacity must be >= 1")
-        if storage is None:
-            storage = "shared" if shared else "memory"
         if storage not in _STORAGE_TIERS:
             raise InvalidParameterError(
                 f"unknown storage tier {storage!r}; available: "
@@ -682,19 +511,17 @@ class PartitionBuffer:
         self._dimension = None if dimension is None else int(dimension)
         self._dtype = np.dtype(dtype)
         self._finalized = False
-        if storage == "disk":
-            if spill_dir is None:
-                raise InvalidParameterError("disk partition storage requires a spill_dir")
-            self._store: PartitionStore = DiskPartitionStore(
-                self._dimension, self._dtype, spill_dir
-            )
-        elif storage == "shared":
-            self._store = SharedMemoryPartitionStore(
+        if storage == "memory":
+            self._store: PartitionStore = MemoryPartitionStore(
                 self._dimension, self._dtype, int(initial_capacity)
             )
         else:
-            self._store = MemoryPartitionStore(
-                self._dimension, self._dtype, int(initial_capacity)
+            if spill_dir is None:
+                raise InvalidParameterError(
+                    f"{storage} partition storage requires a spill_dir"
+                )
+            self._store = DiskPartitionStore(
+                self._dimension, self._dtype, spill_dir, tier=storage
             )
 
     def _shape(self, capacity) -> tuple:
@@ -711,13 +538,8 @@ class PartitionBuffer:
         return self._store.tier
 
     @property
-    def shared(self) -> bool:
-        """Whether the buffer lives in POSIX shared memory."""
-        return self._store.tier == "shared"
-
-    @property
     def spilled_bytes(self) -> int:
-        """Bytes this buffer wrote to disk (0 for the in-memory tiers)."""
+        """Bytes this buffer wrote to disk (0 for the ``"memory"`` and ``"shared"`` tiers)."""
         return self._store.spilled_bytes
 
     def append(self, rows) -> None:
@@ -740,8 +562,8 @@ class PartitionBuffer:
         """Seal the buffer and return its contents as a read-only :class:`SharedArray`.
 
         Zero-copy: the returned wrapper views the buffer's own storage
-        (the shared-memory segment or spill file transfers to it for the
-        out-of-line tiers). The buffer cannot be appended to afterwards.
+        (the file transfers to it for the file-backed tiers). The buffer
+        cannot be appended to afterwards.
         """
         if self._finalized:
             raise InvalidParameterError("PartitionBuffer already finalized")
@@ -773,12 +595,8 @@ class ExecutorBackend(Protocol):
         """Execute ``reducer`` on every group and return outputs plus timings."""
         ...
 
-    def share_array(self, array) -> SharedArray:
-        """Publish a large array for cheap access from reducers."""
-        ...
-
     def close(self) -> None:
-        """Release pools and shared resources. Idempotent."""
+        """Release pools. Idempotent."""
         ...
 
 
@@ -788,13 +606,10 @@ class SerialBackend:
     name = "serial"
     #: Reducers share the coordinator's address space; shuffle partition
     #: buffers can live on the plain heap.
-    uses_shared_memory = False
+    default_storage = "memory"
 
     def run_reducers(self, reducer, groups):
         return {key: _timed_reduce(reducer, key, values) for key, values in groups.items()}
-
-    def share_array(self, array) -> SharedArray:
-        return SharedArray.wrap(array)
 
     def close(self) -> None:
         pass
@@ -804,7 +619,7 @@ class ThreadBackend:
     """Reducers run concurrently on a thread pool (shared address space, GIL applies)."""
 
     name = "threads"
-    uses_shared_memory = False
+    default_storage = "memory"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
@@ -831,9 +646,6 @@ class ThreadBackend:
         }
         return {key: future.result() for key, future in futures.items()}
 
-    def share_array(self, array) -> SharedArray:
-        return SharedArray.wrap(array)
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -841,23 +653,22 @@ class ThreadBackend:
 
 
 class ProcessBackend:
-    """Reducers run on a process pool; large arrays travel via shared memory.
+    """Reducers run on a process pool; partitions travel as file handles.
 
     Reducer callables (and their group values) are pickled per task, so
-    they must be module-level functions or partials thereof. Arrays
-    published with :meth:`share_array` are copied once into shared memory
-    and referenced by name from the workers.
+    they must be module-level functions or partials thereof. Partitions
+    on the file-backed tiers pickle as a path that the worker
+    memory-maps, so a task carries no row data.
     """
 
     name = "processes"
-    #: Reducers run in separate processes; shuffle partition buffers are
-    #: placed in POSIX shared memory so tasks reference them by name.
-    uses_shared_memory = True
+    #: Reducers run in separate processes; partitions go to files under
+    #: ``/dev/shm`` that tasks reference by path.
+    default_storage = "shared"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
         self._pool: ProcessPoolExecutor | None = None
-        self._shared: list[SharedArray] = []
 
     @property
     def max_workers(self) -> int:
@@ -876,17 +687,10 @@ class ProcessBackend:
         }
         return {key: future.result() for key, future in futures.items()}
 
-    def share_array(self, array) -> SharedArray:
-        shared = SharedArray.copy_to_shared_memory(array)
-        self._shared.append(shared)
-        return shared
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        while self._shared:
-            self._shared.pop().close()
 
 
 _BACKENDS = {

@@ -21,15 +21,13 @@ per worker, not once per task. Partition payloads travel by tier:
 
 * memory-tier partitions (the default under this backend) pickle their
   rows *by value* inside the TASK frame;
-* disk-tier spill files are detected while pickling the task (the
-  handles carry their path), pushed once per worker as raw ``.npy``
-  bytes in a PUT frame, and re-opened worker-side as read-only memmaps —
-  no row data is pickled, and a file already pushed to a worker is never
-  pushed twice. ``push_spills=False`` skips the push for same-host
-  clusters whose workers can open the coordinator's files directly.
-* shared-memory-tier handles pickle by segment *name* and therefore
-  resolve only on workers sharing the coordinator's ``/dev/shm`` (a
-  loopback cluster); cross-host jobs should use the memory or disk tier.
+* file-backed partitions (the ``"shared"`` and ``"disk"`` tiers) are
+  detected while pickling the task (the handles carry their path),
+  pushed once per worker as raw ``.npy`` bytes in a PUT frame, and
+  re-opened worker-side as read-only memmaps — no row data is pickled,
+  and a file already pushed to a worker is never pushed twice.
+  ``push_spills=False`` skips the push for same-host clusters whose
+  workers can open the coordinator's files directly.
 
 Failure model
 -------------
@@ -57,8 +55,6 @@ import pickle
 import socket
 import threading
 from typing import Hashable, Sequence
-
-import numpy as np
 
 from ..exceptions import (
     InvalidParameterError,
@@ -110,7 +106,7 @@ def parse_worker_address(spec) -> tuple[str, int]:
 class _SpillScanPickler(pickle.Pickler):
     """Pickles a payload while collecting the spill files it references.
 
-    Disk-tier :class:`SharedArray` handles pickle as ``(path, shape,
+    File-backed :class:`SharedArray` handles pickle as ``(path, shape,
     dtype)`` — no row data — so the coordinator must learn *which* files
     a task needs in order to push them ahead of it. Scanning during the
     one pickling pass the task needs anyway makes discovery free.
@@ -181,7 +177,7 @@ class DistributedBackend:
         daemons. At least one is required; the list order defines the
         round-robin placement.
     push_spills:
-        Push disk-tier spill files to workers as raw bytes (default).
+        Push partition files to workers as raw bytes (default).
         ``False`` lets workers open the coordinator's files by path —
         only correct when every worker shares the coordinator's
         filesystem.
@@ -200,7 +196,7 @@ class DistributedBackend:
     name = "distributed"
     #: Workers live in other processes (possibly other hosts); shuffle
     #: partition buffers default to the by-value memory tier.
-    uses_shared_memory = False
+    default_storage = "memory"
 
     def __init__(
         self,
@@ -432,12 +428,6 @@ class DistributedBackend:
         self._last_bytes = shipped[0]
         self._bytes_shipped += shipped[0]
         return {key: results[key] for key in keys}
-
-    def share_array(self, array) -> SharedArray:
-        """Publish an array for reducers: pickled by value into each task."""
-        view = np.asarray(array).view()
-        view.flags.writeable = False
-        return SharedArray(view, by_value=True)
 
     def close(self) -> None:
         """End the worker connections (the daemons keep serving). Idempotent."""

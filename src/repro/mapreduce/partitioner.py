@@ -22,7 +22,9 @@ RNG draw. That makes every assignment *chunking-independent*: the
 streamed shuffle (:class:`ChunkRouter`) can recompute it for any chunk
 ``[offset, offset + m)`` of the input without materialising the whole
 index range, and lands every point in exactly the partition the
-in-memory ``split_*`` functions would have chosen.
+``split_*`` functions would have chosen. The adversarial split is not
+such a function; the shuffle computes it once up front and routes by
+the resulting per-index assignment array.
 
 :func:`draw_partition_seeds` is the one shared way the MapReduce drivers
 draw their per-partition coreset seeds, so the deterministic-for-any-
@@ -192,26 +194,31 @@ class ChunkRouter:
 
     The router computes, for each incoming chunk of ``m`` points, the
     partition id of every row — matching bit for bit the partition that
-    the corresponding in-memory ``split_*`` function assigns to the same
-    global index. It never materialises more than one chunk's worth of
-    assignment metadata, which is what keeps the coordinator's working
-    set at ``O(chunk)`` during the out-of-core shuffle.
+    the corresponding ``split_*`` function assigns to the same global
+    index. For the pure-function strategies it never materialises more
+    than one chunk's worth of assignment metadata, which is what keeps
+    the coordinator's working set at ``O(chunk)`` during the out-of-core
+    shuffle.
 
     Parameters
     ----------
     ell:
         Number of partitions.
     partitioning:
-        ``"contiguous"``, ``"round_robin"`` or ``"random"``.
-        ``"contiguous"`` additionally needs ``n_total`` (the equal-size
-        block boundaries depend on the stream length); ``"adversarial"``
-        is inherently offline and not supported here.
+        ``"contiguous"``, ``"round_robin"``, ``"random"`` or
+        ``"adversarial"``. ``"contiguous"`` additionally needs
+        ``n_total`` (the equal-size block boundaries depend on the
+        stream length); ``"adversarial"`` needs ``assignment``.
     n_total:
         Stream length, when known (e.g. from ``len(stream)``).
     seed:
         Hash seed for the ``"random"`` strategy; drawn by the caller from
         the run's RNG exactly like :func:`split_random` draws it, so both
-        paths consume the generator identically.
+        consume the generator identically.
+    assignment:
+        Partition id of every global index, for ``"adversarial"``
+        (computed from :func:`split_adversarial`); its length is the
+        stream length.
     """
 
     def __init__(
@@ -221,13 +228,28 @@ class ChunkRouter:
         *,
         n_total: int | None = None,
         seed: int | None = None,
+        assignment: np.ndarray | None = None,
     ) -> None:
         self.ell = check_positive_int(ell, name="ell")
-        if partitioning not in ("contiguous", "round_robin", "random"):
+        if partitioning not in ("contiguous", "round_robin", "random", "adversarial"):
             raise InvalidParameterError(
-                "streamed shuffling supports 'contiguous', 'round_robin' and "
-                f"'random' partitioning; got {partitioning!r}"
+                "partitioning must be 'contiguous', 'round_robin', 'random' or "
+                f"'adversarial'; got {partitioning!r}"
             )
+        if partitioning == "adversarial":
+            if assignment is None:
+                raise InvalidParameterError(
+                    "adversarial partitioning needs the per-index assignment array"
+                )
+            assignment = np.asarray(assignment, dtype=np.intp)
+            if assignment.size and (assignment.min() < 0 or assignment.max() >= self.ell):
+                raise InvalidParameterError(f"assignment ids must lie in [0, {self.ell})")
+            if n_total is not None and n_total != assignment.shape[0]:
+                raise InvalidParameterError(
+                    f"assignment covers {assignment.shape[0]} points; n_total is {n_total}"
+                )
+            n_total = int(assignment.shape[0])
+        self._assignment = assignment
         if partitioning == "contiguous":
             if n_total is None:
                 raise InvalidParameterError(
@@ -277,6 +299,8 @@ class ChunkRouter:
             return indices % self.ell
         if self.partitioning == "random":
             return hashed_assignment(indices, self.ell, self._seed)
+        if self.partitioning == "adversarial":
+            return self._assignment[indices]
         return np.searchsorted(self._boundaries, indices, side="right").astype(np.intp)
 
 

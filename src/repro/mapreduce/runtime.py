@@ -28,10 +28,9 @@ then is the reduce phase handed to an
 * ``backend="processes"`` — reducers run on a process pool. Each task
   pickles the reducer callable and its group values, so reducers must be
   module-level functions (or partials of them); in exchange the GIL no
-  longer serialises pure-Python reducer work. Large point matrices should
-  be published once via :meth:`MapReduceRuntime.share_array`, which under
-  this backend places them in POSIX shared memory so tasks reference them
-  by name instead of copying them.
+  longer serialises pure-Python reducer work. Shuffled partitions live
+  in files under ``/dev/shm`` (the ``"shared"`` storage tier), so tasks
+  reference them by path instead of copying them.
 * ``backend="distributed"`` — reducers run on remote worker daemons over
   TCP (see the "Distributed backend" section below).
 
@@ -53,15 +52,15 @@ itself.
 
 Partition payloads travel by storage tier: memory-tier partitions (the
 default under this backend) pickle their rows by value inside the task;
-disk-tier spill files are pushed once per worker as raw ``.npy`` bytes
-and re-opened remotely as read-only memmaps, so a file is shipped at
-most once per worker however many rounds reference it. A worker that
-dies mid-job (refused connection, reset, truncated frame) has its
-unfinished groups requeued round-robin onto the surviving workers —
-reducers are pure, so the retried job is bit-identical — and
-:attr:`JobStats.worker_assignments` records every attempt while
-:attr:`JobStats.bytes_shipped` totals the payload bytes that crossed
-the wire. All randomness is drawn in the coordinator before dispatch,
+file-backed partitions (``"shared"`` and ``"disk"``) are pushed once per
+worker as raw ``.npy`` bytes and re-opened remotely as read-only
+memmaps, so a file is shipped at most once per worker however many
+rounds reference it. A worker that dies mid-job (refused connection,
+reset, truncated frame) has its unfinished groups requeued round-robin
+onto the surviving workers — reducers are pure, so the retried job is
+bit-identical — and :attr:`JobStats.worker_assignments` records every
+attempt while :attr:`JobStats.bytes_shipped` totals the payload bytes
+that crossed the wire. All randomness is drawn in the coordinator before dispatch,
 so the distributed drivers agree bit-for-bit with the serial reference;
 the equivalence matrix in
 ``tests/properties/test_property_distributed_equivalence.py`` enforces
@@ -73,7 +72,7 @@ vectorised NumPy calls and payloads are large (zero serialisation);
 ``processes`` wins when reducers spend significant time in Python
 bytecode (GMM's incremental loop, radius search probes) or when true CPU
 isolation is wanted — provided the per-task payload is kept small, e.g.
-index arrays over a shared point matrix.
+file-backed partition handles.
 
 Out-of-core shuffle
 -------------------
@@ -81,31 +80,31 @@ The paper's analysis bounds the *reducers'* memory at ``O(n / ell)``
 per partition — but a map/shuffle that first materialises the full
 ``(n, d)`` matrix in the coordinator silently re-introduces an ``O(n)``
 coordinator bound, making the coordinator (not the reducers) the limit
-on dataset size. :meth:`MapReduceRuntime.shuffle_stream` removes that
+on dataset size. :meth:`MapReduceRuntime.shuffle_stream` avoids that
 bound: it consumes the input as a sequence of ``(m, d)`` chunks (from a
 :class:`~repro.streaming.stream.PointStream`, a generator over a file,
 or a memory-mapped array), routes each chunk's rows directly into
 per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
 storage via a :class:`~repro.mapreduce.partitioner.ChunkRouter`, and
 returns the sealed partitions as
-:class:`~repro.mapreduce.backends.SharedArray` handles. Under the
-``processes`` backend the buffers are POSIX shared-memory segments that
-reducers attach to by name; under ``serial``/``threads`` they are plain
-per-partition arrays in the shared address space. Either way the
+:class:`~repro.mapreduce.backends.SharedArray` handles. The
 coordinator's own working set during the shuffle is ``O(chunk)``:
 routing metadata plus one chunk in flight.
 
-Because the routers are pure functions of the global point index (the
-random split uses a seeded counter-based hash, see
-:func:`~repro.mapreduce.partitioner.hashed_assignment`), a streamed
-shuffle lands every point in exactly the partition the in-memory
-``split_*`` functions produce — so the drivers' ``fit_stream`` is
-bit-identical to ``fit`` on every backend while restoring the paper's
-memory model: reducers hold ``O(n/ell)``, the coordinator holds
-``O(chunk + union coreset)``. The job-level
-:attr:`JobStats.coordinator_peak_items` records that coordinator
-working set (in points) so the space metric of the Figure 7 experiments
-is reported for both drive paths.
+Both drivers run every job this way — ``fit`` wraps its matrix in an
+:class:`~repro.streaming.stream.ArrayStream` and calls ``fit_stream`` —
+as three rounds: per-partition coresets, the solve on their union, and
+an assignment round that scores each partition against the final
+centers (the paper counts the first two). The routers are pure
+functions of the global point index (the random split uses a seeded
+counter-based hash, see
+:func:`~repro.mapreduce.partitioner.hashed_assignment`), so every point
+lands in exactly the partition the ``split_*`` functions assign it;
+the adversarial split, which is not such a function, is computed up
+front for sized streams and routed through an explicit assignment
+array. Reducers hold ``O(n/ell)``, the coordinator holds
+``O(chunk + union coreset)``, recorded as
+:attr:`JobStats.coordinator_peak_items`.
 
 Storage tiers
 -------------
@@ -117,15 +116,16 @@ and the CLI ``mr-*`` commands) selects a
 
 * ``"memory"`` — plain per-partition arrays in the coordinator's
   address space; the natural tier for the serial and thread backends.
-* ``"shared"`` — POSIX shared-memory segments that process-backend
-  workers attach to by name; bounded by ``/dev/shm`` (typically half of
-  RAM).
-* ``"disk"`` — per-partition ``.npy`` spill files, appended chunk by
-  chunk and finalized as read-only :class:`numpy.memmap` matrices that
-  workers open by *path*; bounded by disk instead of ``/dev/shm``, which
-  is what makes single-host datasets beyond shared memory drivable while
-  each reducer still only keeps its ``O(n/ell)`` partition resident.
-* ``"auto"`` (default) — the historical backend pairing (shared memory
+* ``"shared"`` — per-partition ``.npy`` files in a runtime-owned
+  directory under ``/dev/shm`` (``tempfile.gettempdir()`` where there
+  is no ``/dev/shm``), memory-mapped read-only by the reducers, which
+  process-backend workers open by *path*; bounded by ``/dev/shm``
+  (typically half of RAM).
+* ``"disk"`` — the same files in a spill directory on disk (``spill_dir``
+  or a runtime-owned temporary directory), which is what makes
+  single-host datasets beyond shared memory drivable while each reducer
+  still only keeps its ``O(n/ell)`` partition resident.
+* ``"auto"`` (default) — the historical backend pairing (``"shared"``
   for the process pool, plain arrays otherwise) unless
   ``memory_budget_bytes`` is set and the estimated partition-tier
   footprint exceeds it (or the stream is unsized), in which case the
@@ -148,7 +148,8 @@ timing values themselves. The cross-backend equivalence suite in
 The engine is intentionally general (key-value pairs, one mapper and one
 reducer per round) so that other algorithms can be expressed on it, but
 the k-center drivers in :mod:`repro.core.mr_kcenter` and
-:mod:`repro.core.mr_outliers` only need the two-round pattern.
+:mod:`repro.core.mr_outliers` only need the shuffle-then-three-rounds
+pattern above.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ from .backends import (
     resolve_backend,
     resolve_storage,
 )
-from .partitioner import ChunkRouter
+from .partitioner import ChunkRouter, split_adversarial
 
 __all__ = [
     "KeyValue",
@@ -190,6 +191,9 @@ __all__ = [
     "shuffle_point_stream",
 ]
 
+
+_SHM_ROOT = "/dev/shm"
+"""RAM-backed directory the ``"shared"`` tier's runtime-owned directory lives in."""
 
 KeyValue = tuple[Hashable, object]
 """A key-value pair as consumed and produced by mappers and reducers."""
@@ -264,14 +268,14 @@ class JobStats:
 
     rounds: list[RoundStats] = field(default_factory=list)
     #: Largest working set (in points) the *coordinator* itself held at
-    #: any moment: the full input for the in-memory path, one routing
-    #: chunk plus the inter-round coreset union for the streamed path.
-    #: This is the quantity the out-of-core shuffle bounds at
-    #: ``O(chunk + coreset)``.
+    #: any moment: the larger of one routing chunk of the shuffle and
+    #: the coreset union that passes through it between rounds 1 and 2,
+    #: i.e. ``O(chunk + coreset)``. The input matrix a caller of ``fit``
+    #: already holds is not counted.
     coordinator_peak_items: int = 0
-    #: Partition-storage tier the streamed shuffle used
-    #: (``"memory"``/``"shared"``/``"disk"``); ``None`` when no streamed
-    #: shuffle ran.
+    #: Partition-storage tier the shuffle used
+    #: (``"memory"``/``"shared"``/``"disk"``); ``None`` when no shuffle
+    #: ran.
     storage_tier: str | None = None
     #: Bytes of partition data written to spill files (0 unless the
     #: ``"disk"`` tier ran).
@@ -326,9 +330,9 @@ class StreamedPartition:
     """One shuffled partition: its point matrix plus the global-index column.
 
     ``__len__`` reports the number of *points*, so the runtime's memory
-    accounting charges a streamed round-1 reducer exactly what the
-    in-memory path charges it (the index column is metadata). Picklable
-    on every backend (the members are :class:`SharedArray` handles).
+    accounting charges a round-1 reducer its partition size, the paper's
+    ``M_L`` (the index column is metadata). Picklable on every backend
+    (the members are :class:`SharedArray` handles).
     """
 
     points: SharedArray
@@ -422,6 +426,8 @@ class MapReduceRuntime:
         uses a runtime-owned temporary directory that :meth:`close`
         removes; a caller-provided directory is created if missing and
         left in place (only the spill files themselves are deleted).
+        ``"shared"``-tier files always go to a runtime-owned directory
+        under ``/dev/shm``.
     memory_budget_bytes:
         Budget (bytes) for the in-memory partition tiers under
         ``storage="auto"``: a shuffle whose estimated partition
@@ -473,9 +479,9 @@ class MapReduceRuntime:
         self._backend = resolve_backend(backend, max_workers=max_workers, workers=workers)
         self._storage = storage
         self._spill_dir = spill_dir
-        self._own_spill_dir: str | None = None
+        self._own_dirs: dict[str, str] = {}
         self._memory_budget_bytes = memory_budget_bytes
-        self._shared_arrays: list[SharedArray] = []
+        self._sealed: list[SharedArray] = []
         self._stats = JobStats()
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -485,35 +491,32 @@ class MapReduceRuntime:
         """The executor backend running this runtime's reduce phases."""
         return self._backend
 
-    def share_array(self, array) -> SharedArray:
-        """Publish a large array for cheap access from reducers on any backend.
-
-        Arrays shared through the runtime are released by :meth:`close`
-        even when the backend itself is caller-owned. The array is
-        charged to the coordinator's working set (it was materialised
-        here to be published); the streamed shuffle avoids exactly this
-        charge.
-        """
-        shared = self._backend.share_array(array)
-        self._shared_arrays.append(shared)
-        self.note_coordinator_items(len(shared))
-        return shared
-
     def note_coordinator_items(self, items: int) -> None:
         """Record that the coordinator held ``items`` points at one moment."""
         self._stats.coordinator_peak_items = max(
             self._stats.coordinator_peak_items, int(items)
         )
 
-    def _ensure_spill_dir(self, override: str | None = None) -> str:
-        """The directory disk-tier spill files go to (created on first use)."""
+    def _tier_dir(self, tier: str, override: str | None = None) -> str | None:
+        """The directory a file-backed tier's partitions go to (created on first use).
+
+        ``"disk"`` uses the caller's ``spill_dir`` when one is given;
+        ``"shared"`` always uses a runtime-owned directory under
+        ``/dev/shm``. Runtime-owned directories are removed by :meth:`close`.
+        """
+        if tier == "memory":
+            return None
         caller_dir = override if override is not None else self._spill_dir
-        if caller_dir is not None:
+        if tier == "disk" and caller_dir is not None:
             os.makedirs(caller_dir, exist_ok=True)
             return caller_dir
-        if self._own_spill_dir is None:
-            self._own_spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-        return self._own_spill_dir
+        if tier not in self._own_dirs:
+            if tier == "shared":
+                root = _SHM_ROOT if os.path.isdir(_SHM_ROOT) else None
+                self._own_dirs[tier] = tempfile.mkdtemp(prefix="repro-shm-", dir=root)
+            else:
+                self._own_dirs[tier] = tempfile.mkdtemp(prefix="repro-spill-")
+        return self._own_dirs[tier]
 
     def shuffle_stream(
         self,
@@ -543,9 +546,9 @@ class MapReduceRuntime:
         :attr:`JobStats.storage_tier` / :attr:`JobStats.spilled_bytes`.
 
         The sealed partitions are registered with the runtime and
-        released by :meth:`close`; on a mid-stream failure every
-        partially-filled buffer (shared segment or spill file) is closed
-        and unlinked before the exception propagates. ``max_chunk_rows``
+        released by :meth:`close`; on a mid-stream failure every buffer
+        allocated so far is closed and its file unlinked before the
+        exception propagates. ``max_chunk_rows``
         re-splits oversized incoming chunks (sources with native
         batching, such as
         :class:`~repro.streaming.stream.GeneratorStream`, may deliver
@@ -569,8 +572,10 @@ class MapReduceRuntime:
         # The partition footprint can only be estimated once the first chunk
         # reveals the dimension; until then the tier is undecided.
         estimated_bytes: int | None = None
-        buffers: list[PartitionBuffer] | None = None
-        index_buffers: list[PartitionBuffer] | None = None
+        # Buffers are appended one at a time so that the cleanup below sees
+        # every one allocated before a later allocation fails.
+        buffers: list[PartitionBuffer] = []
+        index_buffers: list[PartitionBuffer] = []
         sealed: list[SharedArray] = []
         dimension: int | None = None
         tier: str | None = None
@@ -594,7 +599,7 @@ class MapReduceRuntime:
                 m = chunk.shape[0]
                 if m == 0:
                     continue
-                if buffers is None:
+                if dimension is None:
                     dimension = int(chunk.shape[1])
                     if router.n_total is not None:
                         row_bytes = dimension * dtype.itemsize
@@ -607,31 +612,28 @@ class MapReduceRuntime:
                         estimated_bytes=estimated_bytes,
                         memory_budget_bytes=self._memory_budget_bytes,
                     )
-                    tier_spill_dir = (
-                        self._ensure_spill_dir(spill_dir) if tier == "disk" else None
-                    )
+                    tier_dir = self._tier_dir(tier, spill_dir)
                     capacity = hint or max(1, m)
-                    buffers = [
-                        PartitionBuffer(
-                            dimension,
-                            dtype=dtype,
-                            storage=tier,
-                            initial_capacity=capacity,
-                            spill_dir=tier_spill_dir,
+                    for _ in range(router.ell):
+                        buffers.append(
+                            PartitionBuffer(
+                                dimension,
+                                dtype=dtype,
+                                storage=tier,
+                                initial_capacity=capacity,
+                                spill_dir=tier_dir,
+                            )
                         )
-                        for _ in range(router.ell)
-                    ]
-                    if with_indices:
-                        index_buffers = [
+                    for _ in range(router.ell if with_indices else 0):
+                        index_buffers.append(
                             PartitionBuffer(
                                 None,
                                 dtype=np.intp,
                                 storage=tier,
                                 initial_capacity=capacity,
-                                spill_dir=tier_spill_dir,
+                                spill_dir=tier_dir,
                             )
-                            for _ in range(router.ell)
-                        ]
+                        )
                 elif chunk.shape[1] != dimension:
                     raise InvalidParameterError(
                         f"chunk has dimension {chunk.shape[1]}, expected {dimension}"
@@ -650,11 +652,11 @@ class MapReduceRuntime:
                     stop = start + int(count)
                     if stop > start:
                         buffers[partition_id].append(sorted_rows[start:stop])
-                        if index_buffers is not None:
+                        if with_indices:
                             index_buffers[partition_id].append(sorted_indices[start:stop])
                     start = stop
 
-            if buffers is None:
+            if dimension is None:
                 raise EmptyStreamError("the stream delivered no points to shuffle")
             if router.n_total is not None and router.points_routed != router.n_total:
                 raise InvalidParameterError(
@@ -668,7 +670,7 @@ class MapReduceRuntime:
                 parts.append(buffer.finalize())
                 sealed.append(parts[-1])
             index_parts: list | None = None
-            if index_buffers is not None:
+            if with_indices:
                 spilled += sum(buffer.spilled_bytes for buffer in index_buffers)
                 index_parts = []
                 for buffer in index_buffers:
@@ -676,16 +678,15 @@ class MapReduceRuntime:
                     sealed.append(index_parts[-1])
         except BaseException:
             # A failure (or interrupt) mid-shuffle must not strand the
-            # partially-filled shared segments / spill files — nor any
-            # partition already sealed when a later finalize fails —
-            # until process exit.
+            # partially-filled partition files — nor any partition already
+            # sealed when a later finalize fails — until process exit.
             for handle in sealed:
                 handle.close()
-            for buffer in (buffers or []) + (index_buffers or []):
+            for buffer in buffers + index_buffers:
                 buffer.close()
             raise
 
-        self._shared_arrays.extend(sealed)
+        self._sealed.extend(sealed)
         self.note_coordinator_items(chunk_peak)
         self._stats.storage_tier = tier
         self._stats.spilled_bytes += spilled
@@ -702,17 +703,16 @@ class MapReduceRuntime:
     def close(self) -> None:
         """Release resources this runtime owns. Idempotent.
 
-        Arrays published via :meth:`share_array` are always released; the
-        backend's pools are shut down only when the runtime created the
-        backend itself (from a name or the default). A backend instance
-        passed in by the caller is left running so it can be reused across
-        runtimes — the caller closes it.
+        Shuffled partitions and runtime-owned partition directories are
+        always released; the backend's pools are shut down only when the
+        runtime created the backend itself (from a name or the default).
+        A backend instance passed in by the caller is left running so it
+        can be reused across runtimes — the caller closes it.
         """
-        while self._shared_arrays:
-            self._shared_arrays.pop().close()
-        if self._own_spill_dir is not None:
-            spill_dir, self._own_spill_dir = self._own_spill_dir, None
-            shutil.rmtree(spill_dir, ignore_errors=True)
+        while self._sealed:
+            self._sealed.pop().close()
+        while self._own_dirs:
+            shutil.rmtree(self._own_dirs.popitem()[1], ignore_errors=True)
         if self._owns_backend:
             self._backend.close()
 
@@ -797,17 +797,6 @@ class MapReduceRuntime:
         self._stats.rounds.append(stats)
         return outputs
 
-    def execute_job(
-        self,
-        pairs: Sequence[KeyValue],
-        rounds: Sequence[tuple[Mapper, Reducer]],
-    ) -> list[KeyValue]:
-        """Execute several rounds in sequence, feeding each round's output to the next."""
-        current = list(pairs)
-        for mapper, reducer in rounds:
-            current = self.execute_round(current, mapper, reducer)
-        return current
-
 
 def shuffle_point_stream(
     runtime: MapReduceRuntime,
@@ -819,28 +808,33 @@ def shuffle_point_stream(
     chunk_size: int,
     storage: str | None = None,
     spill_dir: str | None = None,
+    adversarial_indices=None,
 ) -> tuple[list[StreamedPartition], int, int]:
-    """The drivers' shared out-of-core shuffle prologue.
+    """The drivers' shared shuffle prologue.
 
     Wraps ``stream`` (a :class:`~repro.streaming.stream.PointStream` or
     any iterable of points/batches), probes its length, caps ``ell`` at
     the length when it is known, builds the matching
     :class:`~repro.mapreduce.partitioner.ChunkRouter` — consuming ``rng``
-    exactly like the in-memory ``split_*`` path (one variate for the
-    random hash seed, nothing for the deterministic strategies) — and
+    exactly like the ``split_*`` functions (one variate for the random
+    hash seed, the permutation of :func:`split_adversarial` for the
+    adversarial split, nothing for the deterministic strategies) — and
     runs :meth:`MapReduceRuntime.shuffle_stream` with oversized native
     batches re-split to ``chunk_size``, on the partition-storage tier
     ``storage`` selects (``None`` defers to the runtime's default).
 
+    ``"adversarial"`` partitioning forces ``adversarial_indices`` into
+    partition 0 through :func:`split_adversarial`; it needs the stream
+    length up front, so unsized streams are rejected, and the router
+    holds one ``intp`` partition id per point, which
+    :attr:`JobStats.coordinator_peak_items` (a count of points) does not
+    charge.
+
     Returns ``(partitions, n_points, ell_used)``. A stream that declares
     length 0 raises :class:`~repro.exceptions.EmptyStreamError`
-    deterministically, before any buffer is allocated. Both MapReduce
-    drivers route through this single helper so the
-    bit-identical-to-``fit`` guarantee cannot drift between them. Note
-    the one caveat it cannot remove: for unknown-length streams ``ell``
-    is used as given (the in-memory path caps it at ``n``), so exact
-    ``fit`` equivalence on tiny inputs additionally needs ``ell <= n``
-    or a sized stream.
+    deterministically, before any buffer is allocated. For
+    unknown-length streams ``ell`` is used as given, not capped at the
+    number of points.
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be >= 1")
@@ -857,6 +851,16 @@ def shuffle_point_stream(
         router = ChunkRouter(
             ell_used, "random", n_total=n_hint, seed=int(rng.integers(2**63 - 1))
         )
+    elif partitioning == "adversarial":
+        if n_hint is None:
+            raise InvalidParameterError(
+                "adversarial partitioning needs the stream length up front"
+            )
+        assignment = np.empty(n_hint, dtype=np.intp)
+        parts = split_adversarial(n_hint, ell_used, adversarial_indices, random_state=rng)
+        for partition_id, indices in enumerate(parts):
+            assignment[indices] = partition_id
+        router = ChunkRouter(ell_used, "adversarial", n_total=n_hint, assignment=assignment)
     else:
         router = ChunkRouter(ell_used, partitioning, n_total=n_hint)
     shuffled = runtime.shuffle_stream(

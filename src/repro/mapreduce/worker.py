@@ -19,10 +19,11 @@ opcodes (coordinator to worker):
   metadata (pid, address, spill directory).
 * ``r`` **REDUCER** — pickled reducer callable; becomes the connection's
   current reducer (sent once per round, not once per task). Replies OK.
-* ``p`` **PUT** — pickled ``(origin_path, file_bytes)``: a disk-tier
-  spill file pushed by value. The worker writes the bytes into its own
-  spill directory and registers ``origin_path`` as an alias, so a
-  disk-tier :class:`~repro.mapreduce.backends.SharedArray` handle
+* ``p`` **PUT** — pickled ``(origin_path, file_bytes)``: a partition
+  file (``"shared"`` or ``"disk"`` tier) pushed by value. The worker
+  writes the bytes into its own spill directory and registers
+  ``origin_path`` as an alias, so a file-backed
+  :class:`~repro.mapreduce.backends.SharedArray` handle
   pickled into a later task re-opens the *local copy* as a read-only
   memmap. Replies OK with the local path.
 * ``t`` **TASK** — pickled ``(key, values)``: run the connection's

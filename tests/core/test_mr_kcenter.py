@@ -38,7 +38,10 @@ class TestMapReduceKCenterExecution:
 
     def test_two_rounds_executed(self, medium_blobs):
         result = MapReduceKCenter(6, ell=4, coreset_multiplier=2, random_state=0).fit(medium_blobs)
-        assert result.stats.n_rounds == 2
+        # The paper's two rounds (coresets, then the solve on their union),
+        # plus the assignment round that computes the radius.
+        assert result.stats.n_rounds == 3
+        assert [r.n_reducers for r in result.stats.rounds] == [4, 1, 4]
 
     def test_coreset_size_equals_ell_times_tau(self, medium_blobs):
         k, ell, mu = 6, 4, 2

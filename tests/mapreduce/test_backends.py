@@ -17,6 +17,7 @@ from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError, MemoryBudgetExceededError
 from repro.mapreduce import (
     MapReduceRuntime,
+    PartitionBuffer,
     ProcessBackend,
     SerialBackend,
     SharedArray,
@@ -121,17 +122,22 @@ class TestRoundEquivalence:
                 with pytest.raises(MemoryBudgetExceededError):
                     runtime.execute_round(pairs, modulo_mapper, summing_reducer)
 
-    def test_shared_array_reducer(self):
+    def test_shared_array_reducer(self, tmp_path):
         from functools import partial
 
         data = np.arange(20.0).reshape(10, 2)
         pairs = [(None, list(range(10)))]
         reference = None
         for name in BACKENDS:
-            with MapReduceRuntime(backend=name, max_workers=2) as runtime:
-                shared = runtime.share_array(data)
-                reducer = partial(shared_lookup_reducer, points=shared)
-                output = runtime.execute_round(pairs, modulo_mapper, reducer)
+            buffer = PartitionBuffer(2, storage="disk", spill_dir=str(tmp_path))
+            buffer.append(data)
+            shared = buffer.finalize()
+            try:
+                with MapReduceRuntime(backend=name, max_workers=2) as runtime:
+                    reducer = partial(shared_lookup_reducer, points=shared)
+                    output = runtime.execute_round(pairs, modulo_mapper, reducer)
+            finally:
+                shared.close()
             if reference is None:
                 reference = output
             else:
@@ -139,37 +145,46 @@ class TestRoundEquivalence:
 
 
 class TestSharedArray:
-    def test_wrap_is_zero_copy(self):
+    def test_plain_handle_is_zero_copy(self):
         data = np.arange(6.0).reshape(3, 2)
-        shared = SharedArray.wrap(data)
+        shared = SharedArray(data)
         assert shared.array is data
         assert shared.shape == (3, 2)
         assert len(shared) == 3
         np.testing.assert_array_equal(shared[1], data[1])
 
-    def test_wrap_refuses_pickling(self):
+    def test_plain_handle_refuses_pickling(self):
         import pickle
 
         with pytest.raises(TypeError, match="cannot be sent"):
-            pickle.dumps(SharedArray.wrap(np.zeros(3)))
+            pickle.dumps(SharedArray(np.zeros(3)))
 
-    def test_shared_memory_roundtrip(self):
-        import pickle
+    def test_close_is_idempotent(self, tmp_path):
+        buffer = PartitionBuffer(2, storage="disk", spill_dir=str(tmp_path))
+        buffer.append(np.zeros((2, 2)))
+        shared = buffer.finalize()
+        shared.close()
+        shared.close()
+        assert list(tmp_path.iterdir()) == []
 
-        data = np.arange(12.0).reshape(4, 3)
-        shared = SharedArray.copy_to_shared_memory(data)
+    @pytest.mark.parametrize("storage", ("memory", "disk"))
+    def test_array_protocol_honours_copy(self, storage, tmp_path):
+        buffer = PartitionBuffer(2, storage=storage, spill_dir=str(tmp_path))
+        buffer.append(np.arange(6.0).reshape(3, 2))
+        shared = buffer.finalize()
         try:
-            np.testing.assert_array_equal(shared.array, data)
-            assert not shared.array.flags.writeable
-            attached = pickle.loads(pickle.dumps(shared))
-            np.testing.assert_array_equal(attached.array, data)
+            copied = np.array(shared, copy=True)
+            assert not np.shares_memory(copied, shared.array)
+            assert copied.flags.writeable
+            np.testing.assert_array_equal(copied, shared.array)
+            # No copy needed: a view of the backing array is fine.
+            assert np.shares_memory(np.asarray(shared), shared.array)
+            # A dtype change needs a copy, which copy=False must refuse.
+            with pytest.raises(ValueError):
+                np.asarray(shared, dtype=np.float32, copy=False)
+            assert np.asarray(shared, dtype=np.float32).dtype == np.float32
         finally:
             shared.close()
-
-    def test_close_is_idempotent(self):
-        shared = SharedArray.copy_to_shared_memory(np.zeros((2, 2)))
-        shared.close()
-        shared.close()
 
 
 class TestBackendLifecycle:
@@ -178,14 +193,6 @@ class TestBackendLifecycle:
         runtime.execute_round([(None, [1, 2, 3])], modulo_mapper, summing_reducer)
         runtime.close()
         runtime.close()
-
-    def test_process_backend_releases_shared_segments(self):
-        backend = ProcessBackend(max_workers=2)
-        shared = backend.share_array(np.ones((4, 2)))
-        backend.close()
-        assert backend._shared == []
-        # The segment is gone; closing the handle again must not raise.
-        shared.close()
 
     def test_thread_backend_pool_reuse(self):
         backend = ThreadBackend(max_workers=2)
@@ -209,14 +216,26 @@ class TestBackendLifecycle:
             backend.close()
         assert backend._pool is None
 
-    def test_runtime_releases_arrays_shared_on_caller_owned_backend(self):
+    def test_runtime_releases_partitions_on_caller_owned_backend(self):
+        import os
+
+        from repro.mapreduce import ChunkRouter
+
         backend = ProcessBackend(max_workers=2)
         try:
-            mine = backend.share_array(np.ones((3, 2)))
             with MapReduceRuntime(backend=backend) as runtime:
-                runtime.share_array(np.zeros((5, 2)))
-            # The runtime released its own array but not the caller's.
-            np.testing.assert_array_equal(mine.array, np.ones((3, 2)))
+                shuffled = runtime.shuffle_stream(
+                    [np.zeros((5, 2))], ChunkRouter(2, "round_robin")
+                )
+                assert shuffled.storage_tier == "shared"
+                (shm_dir,) = set(runtime._own_dirs.values())
+                assert os.listdir(shm_dir)
+            # The runtime removed its partitions and their directory, but
+            # left the caller's pool running.
+            assert not os.path.exists(shm_dir)
+            with MapReduceRuntime(backend=backend) as runtime:
+                output = runtime.execute_round([(None, [4, 5])], modulo_mapper, summing_reducer)
+            assert dict(output) == {0: 4, 1: 5}
         finally:
             backend.close()
 

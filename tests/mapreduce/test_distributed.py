@@ -31,6 +31,7 @@ from repro.mapreduce import (
     DistributedBackend,
     LocalCluster,
     MapReduceRuntime,
+    PartitionBuffer,
     WorkerServer,
     available_backends,
     parse_worker_address,
@@ -305,11 +306,13 @@ class TestRunReducers:
         for index in range(6):
             assert assignments[index] == [addresses[index % 3]]
 
-    def test_share_array_travels_by_value(self):
+    def test_memory_tier_handle_travels_by_value(self):
         points = np.arange(12, dtype=float).reshape(4, 3)
+        buffer = PartitionBuffer(3, storage="memory")
+        buffer.append(points)
+        shared = buffer.finalize()
         with LocalCluster(2) as cluster:
             with MapReduceRuntime(workers=cluster.addresses) as runtime:
-                shared = runtime.share_array(points)
                 from functools import partial
 
                 outputs = runtime.execute_round(
@@ -414,14 +417,30 @@ class TestFailureInjection:
 
 class TestNoOrphans:
     @staticmethod
-    def _fit_stream_disk(workers, points, **kwargs):
+    def _fit_stream_disk(workers, points, storage="disk", **kwargs):
         from repro.core import MapReduceKCenter
         from repro.streaming import ArrayStream
 
         solver = MapReduceKCenter(
             4, ell=3, coreset_multiplier=2, random_state=3, workers=workers, **kwargs
         )
-        return solver.fit_stream(ArrayStream(points), chunk_size=64, storage="disk")
+        return solver.fit_stream(ArrayStream(points), chunk_size=64, storage=storage)
+
+    def test_shared_tier_files_pushed_like_disk_tier_files(self, medium_blobs):
+        with LocalCluster(2) as cluster:
+            disk = self._fit_stream_disk(cluster.addresses, medium_blobs)
+            shared = self._fit_stream_disk(cluster.addresses, medium_blobs, storage="shared")
+            for worker in cluster.workers:
+                assert os.listdir(worker.spill_dir) == []
+        assert shared.stats.storage_tier == "shared"
+        assert shared.stats.spilled_bytes == 0
+        # Same files, same pushes: the totals differ only by the lengths of
+        # the directory paths the pickled handles carry.
+        pushed = medium_blobs.nbytes + medium_blobs.shape[0] * np.dtype(np.intp).itemsize
+        assert disk.stats.bytes_shipped > pushed
+        assert abs(shared.stats.bytes_shipped - disk.stats.bytes_shipped) < 1024
+        np.testing.assert_array_equal(shared.center_indices, disk.center_indices)
+        assert shared.radius == disk.radius
 
     def test_success_path_leaves_no_spill_files_or_sockets(self, medium_blobs):
         with LocalCluster(2) as cluster:

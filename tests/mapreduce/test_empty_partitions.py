@@ -1,17 +1,18 @@
 """Unified empty-partition behavior of the two MapReduce drivers.
 
-Decision under test (see the ``_partition`` docstrings): when a split
-leaves a partition empty — possible under random partitioning on tiny
-inputs, or in principle under any custom split — both drivers *drop* the
-empty part (the round-1 mappers skip it). Dropping only lowers the
-effective parallelism; re-drawing would silently change the random
-partitioning the randomized algorithm's analysis (Lemma 7) relies on,
-and raising would make small seeded runs flaky.
+Decision under test: when the shuffle leaves a partition empty —
+possible under random partitioning on tiny inputs, or in principle
+under any custom split — both drivers *drop* the empty part (no round-1
+reducer runs for it). Dropping only lowers the effective parallelism;
+re-drawing would silently change the random partitioning the randomized
+algorithm's analysis (Lemma 7) relies on, and raising would make small
+seeded runs flaky.
 
 Before this suite existed the two solvers demonstrably diverged:
-``MapReduceKCenter``'s mapper forwarded empty index arrays (crashing in
+``MapReduceKCenter`` forwarded empty partitions (crashing in
 ``build_coreset``) while ``MapReduceKCenterOutliers`` silently skipped
-them.
+them. The empty part is injected at the shuffle's router, which both
+drivers share.
 """
 
 from __future__ import annotations
@@ -19,22 +20,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.mr_kcenter as mr_kcenter_module
-import repro.core.mr_outliers as mr_outliers_module
+import repro.mapreduce.runtime as runtime_module
 from repro.core import MapReduceKCenter, MapReduceKCenterOutliers
 from repro.exceptions import InvalidParameterError
+from repro.mapreduce import ChunkRouter
 
 
-def _split_with_empty_part(n, ell, *, random_state=None):
-    """A partition of range(n) whose last part is empty (stress stand-in)."""
-    parts = [np.array(p, dtype=np.intp) for p in np.array_split(np.arange(n), ell - 1)]
-    parts.append(np.empty(0, dtype=np.intp))
-    return parts
+class _RouterWithEmptyPart(ChunkRouter):
+    """Routes like its base, but folds the last partition into the one before."""
+
+    def route(self, chunk_length):
+        return np.minimum(super().route(chunk_length), self.ell - 2)
+
+
+@pytest.fixture
+def empty_last_part(monkeypatch):
+    monkeypatch.setattr(runtime_module, "ChunkRouter", _RouterWithEmptyPart)
 
 
 class TestEmptyPartitionsDropped:
-    def test_kcenter_drops_empty_partition(self, medium_blobs, monkeypatch):
-        monkeypatch.setattr(mr_kcenter_module, "split_random", _split_with_empty_part)
+    def test_kcenter_drops_empty_partition(self, medium_blobs, empty_last_part):
         result = MapReduceKCenter(
             5, ell=4, coreset_multiplier=2, partitioning="random", random_state=0
         ).fit(medium_blobs)
@@ -44,8 +49,7 @@ class TestEmptyPartitionsDropped:
         assert result.ell == 3
         assert result.stats.rounds[0].n_reducers == 3
 
-    def test_outliers_drops_empty_partition(self, blobs_with_outliers, monkeypatch):
-        monkeypatch.setattr(mr_outliers_module, "split_random", _split_with_empty_part)
+    def test_outliers_drops_empty_partition(self, blobs_with_outliers, empty_last_part):
         data = blobs_with_outliers.points
         z = blobs_with_outliers.n_outliers
         result = MapReduceKCenterOutliers(
@@ -55,9 +59,7 @@ class TestEmptyPartitionsDropped:
         assert result.ell == 3
         assert result.stats.rounds[0].n_reducers == 3
 
-    def test_both_solvers_report_same_reducer_count(self, blobs_with_outliers, monkeypatch):
-        monkeypatch.setattr(mr_kcenter_module, "split_random", _split_with_empty_part)
-        monkeypatch.setattr(mr_outliers_module, "split_random", _split_with_empty_part)
+    def test_both_solvers_report_same_reducer_count(self, blobs_with_outliers, empty_last_part):
         data = blobs_with_outliers.points
         kcenter = MapReduceKCenter(
             5, ell=6, coreset_multiplier=2, partitioning="random", random_state=1

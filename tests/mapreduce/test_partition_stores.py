@@ -1,11 +1,10 @@
 """Unit tests for the partition storage tiers behind the out-of-core shuffle.
 
-Covers the three :class:`~repro.mapreduce.backends.PartitionStore`
-implementations (in-process arrays, POSIX shared memory, on-disk
-``.npy`` spill files), the tier-resolution logic of
+Covers the three tiers (in-process arrays, and ``.npy`` files for the
+``"shared"`` and ``"disk"`` tiers), the tier-resolution logic of
 :func:`~repro.mapreduce.backends.resolve_storage`, and the pickling
 contracts of the sealed :class:`~repro.mapreduce.backends.SharedArray`
-handles (by name / by path / by value).
+handles (by path / by value).
 """
 
 from __future__ import annotations
@@ -25,13 +24,14 @@ from repro.mapreduce import (
 )
 
 STORAGE_TIERS = ("memory", "shared", "disk")
+FILE_TIERS = ("shared", "disk")
 
 
 def _buffer(storage, tmp_path, dimension=3, **kwargs):
     return PartitionBuffer(
         dimension,
         storage=storage,
-        spill_dir=str(tmp_path) if storage == "disk" else None,
+        spill_dir=str(tmp_path) if storage in FILE_TIERS else None,
         **kwargs,
     )
 
@@ -112,8 +112,7 @@ class TestAllTiers:
         buffer.append(np.zeros((2, 3)))
         buffer.close()
         buffer.close()
-        if storage == "disk":
-            assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDiskTier:
@@ -141,9 +140,10 @@ class TestDiskTier:
         finally:
             sealed.close()
 
-    def test_sealed_handle_pickles_by_path_not_by_value(self, tmp_path):
+    @pytest.mark.parametrize("storage", FILE_TIERS)
+    def test_sealed_handle_pickles_by_path_not_by_value(self, storage, tmp_path):
         rows = np.arange(3000.0).reshape(1000, 3)
-        buffer = _buffer("disk", tmp_path)
+        buffer = _buffer(storage, tmp_path)
         buffer.append(rows)
         sealed = buffer.finalize()
         try:
@@ -157,8 +157,9 @@ class TestDiskTier:
         finally:
             sealed.close()
 
-    def test_owner_close_deletes_the_spill_file(self, tmp_path):
-        buffer = _buffer("disk", tmp_path)
+    @pytest.mark.parametrize("storage", FILE_TIERS)
+    def test_owner_close_deletes_the_spill_file(self, storage, tmp_path):
+        buffer = _buffer(storage, tmp_path)
         buffer.append(np.ones((5, 3)))
         sealed = buffer.finalize()
         assert len(list(tmp_path.glob("*.npy"))) == 1
@@ -177,9 +178,10 @@ class TestDiskTier:
         finally:
             sealed.close()
 
-    def test_requires_spill_dir(self):
+    @pytest.mark.parametrize("storage", FILE_TIERS)
+    def test_requires_spill_dir(self, storage):
         with pytest.raises(InvalidParameterError, match="spill_dir"):
-            PartitionBuffer(3, storage="disk")
+            PartitionBuffer(3, storage=storage)
 
     def test_dtype_preserved(self, tmp_path):
         buffer = _buffer("disk", tmp_path, dimension=None, dtype=np.intp)

@@ -168,6 +168,22 @@ class TestChunkRouter:
         with pytest.raises(InvalidParameterError):
             ChunkRouter(4, "adversarial")
 
+    def test_adversarial_routes_by_assignment(self):
+        parts = split_adversarial(30, 4, [3, 8, 15], random_state=1)
+        assignment = np.empty(30, dtype=np.intp)
+        for partition_id, indices in enumerate(parts):
+            assignment[indices] = partition_id
+        router = ChunkRouter(4, "adversarial", assignment=assignment)
+        assert router.n_total == 30
+        routed = np.concatenate([router.route(7) for _ in range(4)] + [router.route(2)])
+        np.testing.assert_array_equal(routed, assignment)
+
+    def test_adversarial_assignment_validated(self):
+        with pytest.raises(InvalidParameterError, match="assignment ids"):
+            ChunkRouter(2, "adversarial", assignment=[0, 2])
+        with pytest.raises(InvalidParameterError, match="n_total"):
+            ChunkRouter(2, "adversarial", n_total=5, assignment=[0, 1])
+
     def test_overdelivery_rejected(self):
         router = ChunkRouter(2, "contiguous", n_total=10)
         router.route(10)

@@ -96,10 +96,10 @@ class TestExecuteJob:
         def round2_reducer(_key, values):
             yield ("total", sum(values))
 
-        output = runtime.execute_job(
-            [(None, v) for v in range(10)],
-            [(round1_mapper, round1_reducer), (round2_mapper, round2_reducer)],
+        first = runtime.execute_round(
+            [(None, v) for v in range(10)], round1_mapper, round1_reducer
         )
+        output = runtime.execute_round(first, round2_mapper, round2_reducer)
         assert output == [("total", 45)]
         assert runtime.stats.n_rounds == 2
 
@@ -113,10 +113,9 @@ class TestExecuteJob:
             for value in values:
                 yield (key, value)
 
-        runtime.execute_job(
-            [(None, np.zeros((10, 2)))],
-            [(identity_mapper, identity_reducer), (identity_mapper, identity_reducer)],
-        )
+        pairs = [(None, np.zeros((10, 2)))]
+        for _ in range(2):
+            pairs = runtime.execute_round(pairs, identity_mapper, identity_reducer)
         assert runtime.stats.peak_local_memory == 10
         assert runtime.stats.aggregate_memory == 10
         assert runtime.stats.parallel_time >= 0

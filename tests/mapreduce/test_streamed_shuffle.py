@@ -4,9 +4,9 @@ Covers the growable :class:`~repro.mapreduce.backends.PartitionBuffer`
 (on every storage tier), the
 :meth:`~repro.mapreduce.runtime.MapReduceRuntime.shuffle_stream` entry
 point on all three backends x all three tiers, the coordinator-side
-memory accounting that the streamed path is designed to bound, and the
-no-orphans guarantee on mid-stream failures (no stranded ``/dev/shm``
-segments, no stranded spill files).
+memory accounting that the shuffle is designed to bound, and the
+no-orphans guarantee on mid-stream failures (no stranded partition
+files, under ``/dev/shm`` or in a spill directory).
 """
 
 from __future__ import annotations
@@ -17,37 +17,35 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.mapreduce.backends as backends_module
+import repro.mapreduce.runtime as runtime_module
 from repro.exceptions import EmptyStreamError, InvalidParameterError
 from repro.mapreduce import (
     ChunkRouter,
     MapReduceRuntime,
     PartitionBuffer,
-    ProcessBackend,
 )
 
 BACKENDS = ("serial", "threads", "processes")
 STORAGE_TIERS = ("memory", "shared", "disk")
 
 
-def _shm_entries() -> set:
-    """Names currently present in /dev/shm (POSIX shared-memory segments)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+@pytest.fixture
+def runtime_dirs(monkeypatch):
+    """Every directory a runtime creates for its partitions, in creation order.
 
+    Recorded instead of diffing ``/dev/shm`` listings, so that tests running
+    in parallel with other runtimes cannot see each other's directories.
+    """
+    created = []
+    original = runtime_module.tempfile.mkdtemp
 
-def _forward_mapper(key, value):
-    yield (key, value)
+    def recording_mkdtemp(*args, **kwargs):
+        created.append(original(*args, **kwargs))
+        return created[-1]
 
-
-def _worker_cache_probe(key, values):
-    """Reducer reporting how many segment attachments the worker still caches."""
-    from repro.mapreduce.backends import _ATTACHED_SEGMENTS, _evict_released_segments
-
-    del values
-    _evict_released_segments()
-    yield (key, len(_ATTACHED_SEGMENTS))
+    monkeypatch.setattr(runtime_module.tempfile, "mkdtemp", recording_mkdtemp)
+    return created
 
 
 def _chunks(points, size):
@@ -56,10 +54,12 @@ def _chunks(points, size):
 
 
 class TestPartitionBuffer:
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_append_and_finalize_roundtrip(self, shared):
+    @pytest.mark.parametrize("storage", ["memory", "shared"])
+    def test_append_and_finalize_roundtrip(self, storage, tmp_path):
         rows = np.arange(24.0).reshape(8, 3)
-        buffer = PartitionBuffer(3, shared=shared, initial_capacity=2)
+        buffer = PartitionBuffer(
+            3, storage=storage, initial_capacity=2, spill_dir=str(tmp_path)
+        )
         buffer.append(rows[:5])
         buffer.append(rows[5:])
         sealed = buffer.finalize()
@@ -69,9 +69,11 @@ class TestPartitionBuffer:
         finally:
             sealed.close()
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_growth_preserves_prefix(self, shared):
-        buffer = PartitionBuffer(2, shared=shared, initial_capacity=1)
+    @pytest.mark.parametrize("storage", ["memory", "shared"])
+    def test_growth_preserves_prefix(self, storage, tmp_path):
+        buffer = PartitionBuffer(
+            2, storage=storage, initial_capacity=1, spill_dir=str(tmp_path)
+        )
         expected = []
         for block in range(10):
             rows = np.full((3, 2), float(block))
@@ -89,16 +91,6 @@ class TestPartitionBuffer:
         sealed = buffer.finalize()
         np.testing.assert_array_equal(sealed.array, np.arange(10))
 
-    def test_shared_buffer_pickles_by_name(self):
-        buffer = PartitionBuffer(2, shared=True, initial_capacity=4)
-        buffer.append(np.ones((3, 2)))
-        sealed = buffer.finalize()
-        try:
-            attached = pickle.loads(pickle.dumps(sealed))
-            np.testing.assert_array_equal(attached.array, np.ones((3, 2)))
-        finally:
-            sealed.close()
-
     def test_append_after_finalize_rejected(self):
         buffer = PartitionBuffer(2)
         buffer.append(np.zeros((1, 2)))
@@ -111,11 +103,17 @@ class TestPartitionBuffer:
         with pytest.raises(InvalidParameterError):
             buffer.append(np.zeros((2, 2)))
 
-    def test_close_without_finalize_releases_segment(self):
-        buffer = PartitionBuffer(2, shared=True)
+    def test_close_without_finalize_releases_file(self, tmp_path):
+        buffer = PartitionBuffer(2, storage="shared", spill_dir=str(tmp_path))
         buffer.append(np.zeros((2, 2)))
         buffer.close()
         buffer.close()  # idempotent
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_tiers_require_a_directory(self):
+        for storage in ("shared", "disk"):
+            with pytest.raises(InvalidParameterError, match="spill_dir"):
+                PartitionBuffer(2, storage=storage)
 
 
 class TestShuffleStream:
@@ -184,11 +182,6 @@ class TestShuffleStream:
             # Far below the full materialisation the in-memory path pays.
             assert runtime.stats.coordinator_peak_items < medium_blobs.shape[0]
 
-    def test_share_array_charges_full_matrix(self, medium_blobs):
-        with MapReduceRuntime() as runtime:
-            runtime.share_array(medium_blobs)
-            assert runtime.stats.coordinator_peak_items == medium_blobs.shape[0]
-
     def test_empty_stream_rejected(self):
         with MapReduceRuntime() as runtime:
             with pytest.raises(EmptyStreamError, match="no points"):
@@ -209,40 +202,19 @@ class TestShuffleStream:
             with pytest.raises(InvalidParameterError, match="dimension"):
                 runtime.shuffle_stream(chunks(), ChunkRouter(2, "round_robin"))
 
-    def test_reused_process_pool_does_not_accumulate_attachments(self, medium_blobs):
-        # Regression: a long-lived caller-owned process pool reused across
-        # many fit_stream runs used to pin every run's partition segments
-        # in the workers forever (the attachment cache had no eviction).
-        from repro.core import MapReduceKCenter
-        from repro.streaming import ArrayStream
-
-        backend = ProcessBackend(max_workers=1)
-        try:
-            for seed in range(3):
-                MapReduceKCenter(
-                    4, ell=4, coreset_multiplier=2, random_state=seed, backend=backend
-                ).fit_stream(ArrayStream(medium_blobs), chunk_size=128)
-            with MapReduceRuntime(backend=backend) as runtime:
-                output = runtime.execute_round(
-                    [(0, [None])], _forward_mapper, _worker_cache_probe
-                )
-            # Every prior run's segments were unlinked by its runtime close;
-            # nothing references them in the worker, so all are evicted.
-            assert output[0][1] == 0
-        finally:
-            backend.close()
-
-    def test_close_releases_shared_partitions(self, medium_blobs):
+    def test_close_releases_shared_partitions(self, medium_blobs, runtime_dirs):
         runtime = MapReduceRuntime(backend="processes", max_workers=2)
         router = ChunkRouter(3, "round_robin")
         result = runtime.shuffle_stream(_chunks(medium_blobs, 100), router)
-        segment_names = [part._meta[0] for part in result.parts]
+        assert result.storage_tier == "shared"
+        paths = [part._spill_meta[0] for part in result.parts + result.index_parts]
+        (shm_dir,) = runtime_dirs
+        if os.path.isdir("/dev/shm"):
+            assert os.path.dirname(shm_dir) == "/dev/shm"
+        assert all(os.path.dirname(path) == shm_dir for path in paths)
         runtime.close()
-        from multiprocessing import shared_memory
-
-        for name in segment_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not any(os.path.exists(path) for path in paths)
+        assert not os.path.exists(shm_dir)
 
 
 class TestStorageTiers:
@@ -277,15 +249,36 @@ class TestStorageTiers:
         assert list(tmp_path.glob("*.npy")) == []
         assert tmp_path.exists()
 
-    def test_memory_tiers_record_zero_spill(self, medium_blobs):
+    @pytest.mark.parametrize("storage", ("memory", "shared"))
+    def test_memory_tiers_record_zero_spill(self, medium_blobs, storage):
         with MapReduceRuntime() as runtime:
             result = runtime.shuffle_stream(
                 _chunks(medium_blobs, 128), ChunkRouter(4, "round_robin"),
-                storage="memory",
+                storage=storage,
             )
             assert result.spilled_bytes == 0
-            assert runtime.stats.storage_tier == "memory"
+            assert runtime.stats.storage_tier == storage
             assert runtime.stats.spilled_bytes == 0
+
+    def test_shared_tier_falls_back_to_tempdir_without_dev_shm(
+        self, medium_blobs, runtime_dirs, monkeypatch, tmp_path
+    ):
+        import tempfile
+
+        monkeypatch.setattr(runtime_module, "_SHM_ROOT", str(tmp_path / "no-shm"))
+        with MapReduceRuntime() as runtime:
+            result = runtime.shuffle_stream(
+                _chunks(medium_blobs, 100), ChunkRouter(2, "round_robin"),
+                storage="shared",
+            )
+            assert result.storage_tier == "shared"
+            reconstructed = np.empty_like(medium_blobs)
+            for part, indices in zip(result.parts, result.index_parts):
+                reconstructed[indices.array] = part.array
+            np.testing.assert_array_equal(reconstructed, medium_blobs)
+        (own_dir,) = runtime_dirs
+        assert os.path.dirname(own_dir) == tempfile.gettempdir()
+        assert not os.path.exists(own_dir)
 
     def test_disk_partitions_pickle_by_path(self, medium_blobs, tmp_path):
         with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
@@ -439,8 +432,7 @@ class TestNoOrphansOnFailure:
 
         return chunks()
 
-    def test_shared_tier_failure_leaves_no_shm_orphans(self, medium_blobs):
-        before = _shm_entries()
+    def test_shared_tier_failure_leaves_no_shm_orphans(self, medium_blobs, runtime_dirs):
         with MapReduceRuntime() as runtime:
             with pytest.raises(InvalidParameterError):
                 runtime.shuffle_stream(
@@ -448,7 +440,10 @@ class TestNoOrphansOnFailure:
                     ChunkRouter(3, "round_robin"),
                     storage="shared",
                 )
-        assert _shm_entries() - before == set()
+            # Released immediately on failure, before the runtime closes.
+            (shm_dir,) = runtime_dirs
+            assert os.listdir(shm_dir) == []
+        assert not os.path.exists(shm_dir)
 
     def test_disk_tier_failure_leaves_no_spill_files(self, medium_blobs, tmp_path):
         with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
@@ -461,15 +456,17 @@ class TestNoOrphansOnFailure:
             # Released immediately on failure, before the runtime closes.
             assert list(tmp_path.glob("*.npy")) == []
 
-    def test_overdelivery_failure_leaves_no_orphans(self, medium_blobs, tmp_path):
-        before = _shm_entries()
+    def test_overdelivery_failure_leaves_no_orphans(
+        self, medium_blobs, tmp_path, runtime_dirs
+    ):
         router = ChunkRouter(2, "contiguous", n_total=medium_blobs.shape[0] - 50)
         with MapReduceRuntime(spill_dir=str(tmp_path)) as runtime:
             with pytest.raises(InvalidParameterError, match="more than the declared"):
                 runtime.shuffle_stream(
                     _chunks(medium_blobs, 100), router, storage="shared"
                 )
-        assert _shm_entries() - before == set()
+        assert runtime_dirs and not any(os.path.exists(d) for d in runtime_dirs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_underdelivery_failure_leaves_no_spill_files(self, tmp_path):
         router = ChunkRouter(2, "contiguous", n_total=100)
@@ -480,11 +477,12 @@ class TestNoOrphansOnFailure:
                 )
             assert list(tmp_path.glob("*.npy")) == []
 
-    def test_driver_fit_stream_failure_leaves_no_orphans(self, medium_blobs, tmp_path):
+    def test_driver_fit_stream_failure_leaves_no_orphans(
+        self, medium_blobs, tmp_path, runtime_dirs
+    ):
         from repro.core import MapReduceKCenter
         from repro.streaming import GeneratorStream
 
-        before = _shm_entries()
         solver = MapReduceKCenter(
             4, ell=4, coreset_multiplier=2, partitioning="round_robin", random_state=0
         )
@@ -496,8 +494,41 @@ class TestNoOrphansOnFailure:
                     storage=storage,
                     spill_dir=str(tmp_path),
                 )
-        assert _shm_entries() - before == set()
+        assert runtime_dirs and not any(os.path.exists(d) for d in runtime_dirs)
         assert list(tmp_path.glob("*.npy")) == []
+
+    @pytest.mark.parametrize("storage", ("shared", "disk"))
+    @pytest.mark.parametrize("fail_at", (1, 5, 9))
+    def test_failed_buffer_allocation_leaves_no_orphans(
+        self, medium_blobs, tmp_path, runtime_dirs, monkeypatch, storage, fail_at
+    ):
+        # Regression: when the Nth partition store could not be created (for
+        # example on EMFILE), the stores created before it kept their open
+        # files and their partition files.
+        from repro.core import MapReduceKCenter
+        from repro.streaming import ArrayStream
+
+        original = backends_module.DiskPartitionStore
+        created = []
+
+        def failing_store(*args, **kwargs):
+            if len(created) == fail_at:
+                raise OSError(24, "Too many open files")
+            created.append(original(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(backends_module, "DiskPartitionStore", failing_store)
+        solver = MapReduceKCenter(4, ell=5, coreset_multiplier=2, random_state=0)
+        with pytest.raises(OSError, match="Too many open files"):
+            solver.fit_stream(
+                ArrayStream(medium_blobs), storage=storage, spill_dir=str(tmp_path)
+            )
+        assert len(created) == fail_at
+        assert all(store._file is None for store in created)
+        assert list(tmp_path.iterdir()) == []
+        assert not any(os.path.exists(d) for d in runtime_dirs)
+        if storage == "shared" and os.path.isdir("/dev/shm"):
+            assert [os.path.dirname(d) for d in runtime_dirs] == ["/dev/shm"]
 
 
 class TestEmptyStreams:
