@@ -18,6 +18,7 @@ __all__ = [
     "check_positive_int",
     "check_non_negative_int",
     "check_epsilon",
+    "check_eps_hat",
     "check_k_z",
     "check_weights",
     "check_random_state",
@@ -91,6 +92,17 @@ def check_epsilon(value: Any, *, name: str = "epsilon", upper: float = 1.0) -> f
         raise InvalidParameterError(
             f"{name} must satisfy 0 < {name} <= {upper}; got {value}"
         )
+    return value
+
+
+def check_eps_hat(value: Any) -> float:
+    """Validate OUTLIERSCLUSTER's precision parameter: a finite number ``>= 0``."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"eps_hat must be a number; got {value!r}") from exc
+    if not (np.isfinite(value) and value >= 0.0):
+        raise InvalidParameterError(f"eps_hat must be finite and non-negative; got {value}")
     return value
 
 

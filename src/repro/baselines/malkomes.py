@@ -13,8 +13,8 @@ paths, only the coreset size differs).
 
 from __future__ import annotations
 
-from ..core.mr_kcenter import MapReduceKCenter, MRKCenterResult
-from ..core.mr_outliers import MapReduceKCenterOutliers, MROutliersResult
+from ..core.mr_kcenter import MapReduceKCenter
+from ..core.mr_outliers import MapReduceKCenterOutliers
 from ..metricspace.distance import Metric
 
 __all__ = ["MalkomesKCenter", "MalkomesKCenterOutliers"]
@@ -46,9 +46,6 @@ class MalkomesKCenter(MapReduceKCenter):
             random_state=random_state,
             local_memory_limit=local_memory_limit,
         )
-
-    def fit(self, points) -> MRKCenterResult:  # noqa: D102 - inherited behaviour
-        return super().fit(points)
 
 
 class MalkomesKCenterOutliers(MapReduceKCenterOutliers):
@@ -86,6 +83,3 @@ class MalkomesKCenterOutliers(MapReduceKCenterOutliers):
             random_state=random_state,
             local_memory_limit=local_memory_limit,
         )
-
-    def fit(self, points) -> MROutliersResult:  # noqa: D102 - inherited behaviour
-        return super().fit(points)

@@ -81,8 +81,10 @@ class CoresetSpec:
             object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         if self.size_multiplier is not None:
             multiplier = float(self.size_multiplier)
-            if multiplier < 1.0:
-                raise InvalidParameterError("size_multiplier must be >= 1")
+            if not (np.isfinite(multiplier) and multiplier >= 1.0):
+                raise InvalidParameterError(
+                    f"size_multiplier must be finite and >= 1; got {multiplier}"
+                )
             object.__setattr__(self, "size_multiplier", multiplier)
         if self.max_size is not None:
             max_size = check_positive_int(self.max_size, name="max_size")

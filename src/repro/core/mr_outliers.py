@@ -18,101 +18,41 @@ deterministic variant then uses coresets of size ``mu * (k + z)`` and the
 randomized one ``mu * (k + 6 z / ell)``, exactly the configurations of
 Figure 4.
 
-Both entry points run the pipeline described in
-:mod:`repro.core.mr_kcenter`: a chunked shuffle into per-partition
-storage, the two rounds above, and an assignment round that computes
-the radii and the outlier set.
+The driver runs on the 3-round skeleton of :mod:`repro.core.mr_kcenter`
+(a chunked shuffle into per-partition storage, the two rounds above, and
+an assignment round that computes the radii and the outlier set). It
+supplies only the hooks: random routing for the randomized variant, the
+coreset size ``k + z`` or ``k + z'``, weighted round-1 coresets, the
+radius search over OUTLIERSCLUSTER as the round-2 reducer (its
+:class:`~repro.core.radius_search.RadiusSearchResult` yields
+``estimated_radius`` and ``search_probes``), and ``z``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .._validation import (
-    check_non_negative_int,
-    check_positive_int,
-    check_random_state,
-)
+from .._validation import check_eps_hat, check_non_negative_int
 from ..exceptions import InvalidParameterError
 from ..mapreduce.backends import ExecutorBackend
-from ..mapreduce.partitioner import draw_partition_seeds
-from ..mapreduce.runtime import (
-    JobStats,
-    MapReduceRuntime,
-    StreamedPartition,
-    identity_mapper,
-    shuffle_point_stream,
-)
-from ..metricspace.distance import Metric, get_metric
+from ..mapreduce.runtime import JobStats
+from ..metricspace.distance import Metric
 from ..metricspace.points import WeightedPoints
-from ..streaming.stream import ArrayStream
-from .coreset import CoresetSpec, build_coreset
+# Round 1 calls build_coreset through repro.core.mr_kcenter; the name stays
+# bound here because perfbench/tracing.py wraps it in this module by name.
+from .coreset import CoresetSpec, build_coreset  # noqa: F401
+from .mr_kcenter import _CoresetMapReduce, _MapReduceResult
 from .outliers_cluster import OutliersClusterSolver
 from .radius_search import search_radius
 
 __all__ = ["MROutliersResult", "MapReduceKCenterOutliers"]
 
 
-@dataclass(frozen=True)
-class _CoresetPhaseOutput:
-    """Round-1 reducer output: a partition's weighted coreset plus its build time.
-
-    The coordinator sums the timings; only the coreset continues into
-    round 2, so memory accounting sees exactly the same values on every
-    backend.
-    """
-
-    coreset: WeightedPoints
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class _SolvePhaseOutput:
-    """Round-2 reducer output: the union, the radius search outcome, the solve time."""
-
-    union: WeightedPoints
-    search: object
-    elapsed: float
-
-
-def _coreset_reducer(
-    partition_id,
-    values,
-    *,
-    spec: CoresetSpec,
-    metric: Metric,
-    seeds: tuple[int, ...],
-):
-    """Build one partition's weighted coreset (round-1 reducer; picklable).
-
-    Global origin indices come from the partition's index column.
-    """
-    part: StreamedPartition = values[0]
-    start = time.perf_counter()
-    result = build_coreset(
-        part.points.array,
-        spec,
-        metric,
-        weighted=True,
-        origin_offset=0,
-        first_center=None,
-        random_state=seeds[partition_id],
-    )
-    elapsed = time.perf_counter() - start
-    coreset = WeightedPoints(
-        points=result.coreset.points,
-        weights=result.coreset.weights,
-        origin_indices=part.indices.array[result.center_indices],
-    )
-    return [(0, _CoresetPhaseOutput(coreset, elapsed))]
-
-
-def _solve_reducer(
+def _search_reducer(
     _key,
     values,
     *,
@@ -122,49 +62,14 @@ def _solve_reducer(
     metric: Metric,
 ):
     """Radius search + OUTLIERSCLUSTER on the coreset union (round-2 reducer; picklable)."""
-    union = WeightedPoints.concatenate(values)
-    start = time.perf_counter()
+    union: WeightedPoints = values[0]
     solver = OutliersClusterSolver(union, k, eps_hat=eps_hat, metric=metric)
     search = search_radius(solver, z)
-    elapsed = time.perf_counter() - start
-    return [(0, _SolvePhaseOutput(union, search, elapsed))]
+    return [(0, (search.solution.center_indices, search))]
 
 
 @dataclass(frozen=True)
-class _OutlierAssignTask:
-    """Round-3 input: score one partition against the centers."""
-
-    partition: StreamedPartition
-    centers: np.ndarray
-    z: int
-
-    def __len__(self) -> int:
-        return len(self.partition)
-
-
-def _assign_reducer(_partition_id, values, *, metric: Metric):
-    """Per-partition distance summary vs the final centers (round-3; picklable).
-
-    Uses the blocked :meth:`~repro.metricspace.distance.Metric.nearest`
-    kernel and returns only what the coordinator needs to reconstruct
-    the global outlier set: the partition's ``z + 1`` largest
-    center-distances with their global indices. Merging the
-    per-partition top lists recovers the exact global top ``z + 1``
-    (every globally-large distance is large within its partition).
-    """
-    task: _OutlierAssignTask = values[0]
-    indices = task.partition.indices.array
-    distances, _ = metric.nearest(task.partition.points.array, task.centers)
-    keep = min(task.z + 1, distances.shape[0])
-    # Order by (distance, global index) — the same tie-break the global
-    # selection uses — so the kept candidates are exactly the ones a
-    # global selection would pick among equal distances.
-    order = np.lexsort((indices, distances))[-keep:]
-    return [(0, (distances[order], indices[order]))]
-
-
-@dataclass(frozen=True)
-class MROutliersResult:
+class MROutliersResult(_MapReduceResult):
     """Result of a 2-round MapReduce k-center-with-outliers run.
 
     Attributes
@@ -172,7 +77,7 @@ class MROutliersResult:
     centers:
         ``(<=k, d)`` coordinates of the returned centers.
     center_indices:
-        Indices of the centers in the original dataset (when available).
+        Indices of the centers in the original dataset.
     radius:
         Radius of the dataset w.r.t. the centers **after discarding the
         z farthest points** (the problem's objective).
@@ -191,8 +96,11 @@ class MROutliersResult:
     stats:
         MapReduce accounting.
     coreset_time, solve_time:
-        Wall-clock seconds in the two phases (coreset construction summed
-        over partitions; radius search + OUTLIERSCLUSTER for the solve).
+        Wall-clock seconds the reducers of the two phases spent, read
+        from ``stats.rounds[0].sequential_time`` (coreset construction
+        summed over partitions) and ``stats.rounds[1].sequential_time``
+        (radius search + OUTLIERSCLUSTER). Both include the reducers'
+        partition slicing and output packaging.
     search_probes:
         Number of OUTLIERSCLUSTER executions performed by the radius search.
     peak_working_memory_size:
@@ -211,18 +119,10 @@ class MROutliersResult:
     ell: int
     randomized: bool
     stats: JobStats
-    coreset_time: float
-    solve_time: float
     search_probes: int
-    peak_working_memory_size: int = 0
-
-    @property
-    def k(self) -> int:
-        """Number of returned centers."""
-        return int(self.centers.shape[0])
 
 
-class MapReduceKCenterOutliers:
+class MapReduceKCenterOutliers(_CoresetMapReduce):
     """Coreset-based 2-round MapReduce solver for k-center with z outliers.
 
     Parameters
@@ -267,6 +167,9 @@ class MapReduceKCenterOutliers:
         (``workers`` are the distributed backend's daemon addresses).
     """
 
+    _weighted = True
+    _partitionings = ("contiguous", "round_robin", "random", "adversarial")
+
     def __init__(
         self,
         k: int,
@@ -287,237 +190,60 @@ class MapReduceKCenterOutliers:
         backend: str | ExecutorBackend | None = None,
         workers=None,
     ) -> None:
-        self.k = check_positive_int(k, name="k")
         self.z = check_non_negative_int(z, name="z")
-        self.ell = check_positive_int(ell, name="ell")
-        if epsilon is not None and coreset_multiplier is not None:
-            raise InvalidParameterError(
-                "epsilon and coreset_multiplier are mutually exclusive"
-            )
-        if epsilon is None and coreset_multiplier is None:
-            epsilon = 1.0
-        self.epsilon = epsilon
-        self.coreset_multiplier = coreset_multiplier
+        super().__init__(
+            k,
+            ell=ell,
+            epsilon=epsilon,
+            coreset_multiplier=coreset_multiplier,
+            partitioning=partitioning,
+            metric=metric,
+            random_state=random_state,
+            local_memory_limit=local_memory_limit,
+            max_workers=max_workers,
+            backend=backend,
+            workers=workers,
+        )
         self.randomized = bool(randomized)
         if eps_hat is None:
-            eps_hat = (epsilon / 6.0) if epsilon is not None else 1.0 / 6.0
-        if eps_hat < 0:
-            raise InvalidParameterError("eps_hat must be non-negative")
-        self.eps_hat = float(eps_hat)
-        valid_partitionings = {"contiguous", "round_robin", "random", "adversarial"}
-        if partitioning not in valid_partitionings:
-            raise InvalidParameterError(
-                f"partitioning must be one of {sorted(valid_partitionings)}; got {partitioning!r}"
-            )
+            eps_hat = (self.epsilon / 6.0) if self.epsilon is not None else 1.0 / 6.0
+        self.eps_hat = check_eps_hat(eps_hat)
         if partitioning == "adversarial" and adversarial_indices is None:
             raise InvalidParameterError(
                 "adversarial partitioning requires adversarial_indices"
             )
-        self.partitioning = partitioning
         self.adversarial_indices = (
             None
             if adversarial_indices is None
             else np.asarray(adversarial_indices, dtype=np.intp)
         )
         self.include_log_term = bool(include_log_term)
-        self.metric = get_metric(metric)
-        self.random_state = random_state
-        self.local_memory_limit = local_memory_limit
-        if max_workers is not None:
-            max_workers = check_positive_int(max_workers, name="max_workers")
-        self.max_workers = max_workers
-        self.backend = backend
-        self.workers = None if workers is None else list(workers)
 
-    # -- helpers -----------------------------------------------------------------------
+    # -- hooks -------------------------------------------------------------------------
 
     def _z_prime(self, n: int, ell: int) -> int:
         """The randomized variant's per-partition outlier bound ``z'`` (Lemma 7)."""
         log_term = math.log2(max(n, 2)) if self.include_log_term else 0.0
         return max(1, int(math.ceil(6.0 * (self.z / ell + log_term))))
 
-    def _base_size(self, n: int, ell: int) -> int:
-        if self.randomized:
-            return self.k + self._z_prime(n, ell)
-        return self.k + self.z
+    def _routing(self) -> str:
+        return "random" if self.randomized else self.partitioning
 
     def _coreset_spec(self, n: int, ell: int) -> CoresetSpec:
-        base = self._base_size(n, ell)
+        base = self.k + (self._z_prime(n, ell) if self.randomized else self.z)
         if self.coreset_multiplier is not None:
             return CoresetSpec.from_multiplier(base, self.coreset_multiplier)
         return CoresetSpec.from_epsilon(base, self.epsilon)
 
-    # -- entry points ------------------------------------------------------------------
-
-    def fit(self, points) -> MROutliersResult:
-        """Run the algorithm on the ``(n, d)`` matrix ``points``.
-
-        Shorthand for :meth:`fit_stream` over an
-        :class:`~repro.streaming.stream.ArrayStream` of ``points`` with
-        the default chunking and storage tier.
-        """
-        return self.fit_stream(ArrayStream(points))
-
-    def fit_stream(
-        self,
-        stream,
-        *,
-        chunk_size: int = 4096,
-        storage: str = "auto",
-        spill_dir: str | None = None,
-        memory_budget_bytes: int | None = None,
-    ) -> MROutliersResult:
-        """Run the algorithm on a chunked point stream, out of core.
-
-        The coordinator never materialises the ``(n, d)`` matrix. The
-        shuffle routes chunks directly into per-partition storage (files
-        under ``/dev/shm`` under the ``"processes"`` backend); a third
-        MapReduce round evaluates the final solution by scoring each
-        partition against the centers with the blocked
-        :meth:`~repro.metricspace.distance.Metric.nearest` kernel and
-        returning only its ``z + 1`` largest distances, from which the
-        coordinator reconstructs the exact global outlier set and radii.
-        Centers, radii and outlier sets are bit-identical on every
-        backend, storage tier and chunk size.
-
-        Parameters
-        ----------
-        stream:
-            A :class:`~repro.streaming.stream.PointStream`, or any
-            iterable of points / point batches. ``"contiguous"`` and
-            ``"adversarial"`` partitioning need a known stream length.
-            ``ell`` is capped at the stream length when it is known and
-            used as given otherwise.
-        chunk_size:
-            Rows per routing chunk; also the coordinator's transient
-            working set during the shuffle.
-        storage:
-            Partition-storage tier for the shuffle: ``"auto"``
-            (default), ``"memory"``, ``"shared"`` or ``"disk"``. Under
-            ``"auto"`` with a ``memory_budget_bytes``, streams whose
-            estimated partition footprint exceeds the budget spill to
-            disk; ``stats.storage_tier`` / ``stats.spilled_bytes``
-            report what ran. Every tier is bit-identical.
-        spill_dir:
-            Directory for ``"disk"``-tier spill files (default: a
-            run-owned temporary directory, removed afterwards).
-        memory_budget_bytes:
-            In-memory partition budget consulted by ``storage="auto"``.
-        """
-        chunk_size = check_positive_int(chunk_size, name="chunk_size")
-        rng = check_random_state(self.random_state)
-        partitioning = (
-            "random" if self.randomized or self.partitioning == "random"
-            else self.partitioning
+    def _solve_reducer(self, rng: np.random.Generator):
+        return partial(
+            _search_reducer, k=self.k, z=self.z, eps_hat=self.eps_hat, metric=self.metric
         )
 
-        with MapReduceRuntime(
-            local_memory_limit=self.local_memory_limit,
-            max_workers=self.max_workers,
-            backend=self.backend,
-            workers=self.workers,
-            storage=storage,
-            spill_dir=spill_dir,
-            memory_budget_bytes=memory_budget_bytes,
-        ) as runtime:
-            parts, n, ell = shuffle_point_stream(
-                runtime,
-                stream,
-                ell=self.ell,
-                partitioning=partitioning,
-                rng=rng,
-                chunk_size=chunk_size,
-                adversarial_indices=self.adversarial_indices,
-            )
-            if self.k > n:
-                raise InvalidParameterError(f"k={self.k} exceeds the dataset size {n}")
-            if self.z >= n:
-                raise InvalidParameterError(
-                    f"z={self.z} must be smaller than the dataset size {n}"
-                )
-            spec = self._coreset_spec(n, ell)
-            partition_seeds = draw_partition_seeds(rng, len(parts))
-
-            coreset_pairs = [
-                (partition_id, part)
-                for partition_id, part in enumerate(parts)
-                if len(part)
-            ]
-            coreset_outputs = runtime.execute_round(
-                coreset_pairs,
-                identity_mapper,
-                partial(
-                    _coreset_reducer,
-                    spec=spec,
-                    metric=self.metric,
-                    seeds=partition_seeds,
-                ),
-            )
-            coreset_time = sum(value.elapsed for _, value in coreset_outputs)
-
-            solve_pairs = [(0, value.coreset) for _, value in coreset_outputs]
-            solution: _SolvePhaseOutput = runtime.execute_round(
-                solve_pairs,
-                identity_mapper,
-                partial(
-                    _solve_reducer,
-                    k=self.k,
-                    z=self.z,
-                    eps_hat=self.eps_hat,
-                    metric=self.metric,
-                ),
-            )[0][1]
-            union = solution.union
-            search = solution.search
-            runtime.note_coordinator_items(len(union))
-            coreset_center_positions = search.solution.center_indices
-            centers = union.points[coreset_center_positions]
-            center_indices = (
-                union.origin_indices[coreset_center_positions]
-                if union.origin_indices is not None
-                else np.full(coreset_center_positions.shape[0], -1, dtype=np.intp)
-            )
-
-            assign_pairs = [
-                (partition_id, _OutlierAssignTask(part, centers, self.z))
-                for partition_id, part in enumerate(parts)
-                if len(part)
-            ]
-            assign_outputs = runtime.execute_round(
-                assign_pairs,
-                identity_mapper,
-                partial(_assign_reducer, metric=self.metric),
-            )
-            stats = runtime.stats
-
-        # Merge the per-partition top-(z+1) summaries into the global
-        # outlier set. Sorting by (distance, index) reproduces the stable
-        # tie-break of Clustering.outlier_indices, so the merge selects
-        # exactly the outliers a global selection would.
-        top_distances = np.concatenate([value[0] for _, value in assign_outputs])
-        top_indices = np.concatenate([value[1] for _, value in assign_outputs])
-        order = np.lexsort((top_indices, top_distances))
-        radius_all = float(top_distances[order[-1]])
-        if self.z == 0:
-            outlier_indices = np.empty(0, dtype=np.intp)
-            radius = radius_all
-        else:
-            outlier_indices = np.sort(top_indices[order[-self.z :]])
-            radius = float(top_distances[order[-(self.z + 1)]])
-
+    def _result(self, *, solved, **fields) -> MROutliersResult:
         return MROutliersResult(
-            centers=centers,
-            center_indices=center_indices,
-            radius=radius,
-            radius_all_points=radius_all,
-            outlier_indices=outlier_indices,
-            estimated_radius=search.radius,
-            coreset_size=len(union),
-            ell=len(coreset_pairs),
+            **fields,
+            estimated_radius=solved.radius,
             randomized=self.randomized,
-            stats=stats,
-            coreset_time=coreset_time,
-            solve_time=solution.elapsed,
-            search_probes=search.probes,
-            peak_working_memory_size=stats.peak_working_memory_size,
+            search_probes=solved.probes,
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_eps_hat, check_positive_int
 from ..exceptions import InvalidParameterError
 from ..metricspace.distance import Metric, get_metric
 from ..metricspace.points import WeightedPoints
@@ -91,9 +91,7 @@ class OutliersClusterSolver:
             raise InvalidParameterError("coreset must be a WeightedPoints instance")
         self._coreset = coreset
         self._k = check_positive_int(k, name="k")
-        if eps_hat < 0:
-            raise InvalidParameterError("eps_hat must be non-negative")
-        self._eps_hat = float(eps_hat)
+        self._eps_hat = check_eps_hat(eps_hat)
         self._metric = get_metric(metric)
         self._pairwise = self._metric.pairwise(coreset.points)
         self._weights = coreset.weights

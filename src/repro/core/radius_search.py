@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._validation import check_non_negative_int
+from .._validation import check_eps_hat, check_non_negative_int
 from ..exceptions import InvalidParameterError, RadiusSearchError
 from .outliers_cluster import OutliersClusterResult, OutliersClusterSolver
 
@@ -31,8 +31,7 @@ def delta_for(eps_hat: float) -> float:
     degenerates to 0; callers then skip the geometric refinement and the
     binary search alone decides.
     """
-    if eps_hat < 0:
-        raise InvalidParameterError("eps_hat must be non-negative")
+    eps_hat = check_eps_hat(eps_hat)
     if eps_hat == 0:
         return 0.0
     return eps_hat / (3.0 + 4.0 * eps_hat)

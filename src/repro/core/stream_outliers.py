@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import (
+    check_eps_hat,
     check_epsilon,
     check_non_negative_int,
     check_positive_int,
@@ -135,9 +136,7 @@ class CoresetStreamOutliers(StreamingAlgorithm):
         self.coreset_size = check_positive_int(coreset_size, name="coreset_size")
         if self.coreset_size < self.k + self.z:
             raise InvalidParameterError("coreset_size must be at least k + z")
-        if eps_hat < 0:
-            raise InvalidParameterError("eps_hat must be non-negative")
-        self.eps_hat = float(eps_hat)
+        self.eps_hat = check_eps_hat(eps_hat)
         self.metric = get_metric(metric)
         self._coreset = StreamingCoreset(self.coreset_size, metric=self.metric)
 

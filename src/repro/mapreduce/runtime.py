@@ -91,11 +91,13 @@ returns the sealed partitions as
 coordinator's own working set during the shuffle is ``O(chunk)``:
 routing metadata plus one chunk in flight.
 
-Both drivers run every job this way — ``fit`` wraps its matrix in an
-:class:`~repro.streaming.stream.ArrayStream` and calls ``fit_stream`` —
-as three rounds: per-partition coresets, the solve on their union, and
-an assignment round that scores each partition against the final
-centers (the paper counts the first two). The routers are pure
+Both k-center drivers run every job this way, through the one 3-round
+skeleton they share (``_CoresetMapReduce`` in :mod:`repro.core.mr_kcenter`;
+``fit`` wraps its matrix in an :class:`~repro.streaming.stream.ArrayStream`
+and calls ``fit_stream``): per-partition coresets, the solve on their
+union, and an assignment round that scores each partition against the
+final centers (the paper counts the first two). Their phase times are
+the rounds' reducer times recorded here, the only timer on that path. The routers are pure
 functions of the global point index (the random split uses a seeded
 counter-based hash, see
 :func:`~repro.mapreduce.partitioner.hashed_assignment`), so every point
@@ -149,7 +151,7 @@ The engine is intentionally general (key-value pairs, one mapper and one
 reducer per round) so that other algorithms can be expressed on it, but
 the k-center drivers in :mod:`repro.core.mr_kcenter` and
 :mod:`repro.core.mr_outliers` only need the shuffle-then-three-rounds
-pattern above.
+pattern above, which their shared skeleton runs once for both.
 """
 
 from __future__ import annotations
@@ -806,11 +808,9 @@ def shuffle_point_stream(
     partitioning: str,
     rng: np.random.Generator,
     chunk_size: int,
-    storage: str | None = None,
-    spill_dir: str | None = None,
     adversarial_indices=None,
 ) -> tuple[list[StreamedPartition], int, int]:
-    """The drivers' shared shuffle prologue.
+    """The MapReduce skeleton's shuffle prologue.
 
     Wraps ``stream`` (a :class:`~repro.streaming.stream.PointStream` or
     any iterable of points/batches), probes its length, caps ``ell`` at
@@ -820,8 +820,8 @@ def shuffle_point_stream(
     hash seed, the permutation of :func:`split_adversarial` for the
     adversarial split, nothing for the deterministic strategies) — and
     runs :meth:`MapReduceRuntime.shuffle_stream` with oversized native
-    batches re-split to ``chunk_size``, on the partition-storage tier
-    ``storage`` selects (``None`` defers to the runtime's default).
+    batches re-split to ``chunk_size``, on the runtime's partition-storage
+    tier.
 
     ``"adversarial"`` partitioning forces ``adversarial_indices`` into
     partition 0 through :func:`split_adversarial`; it needs the stream
@@ -867,8 +867,6 @@ def shuffle_point_stream(
         stream.iterate_batches(chunk_size),
         router,
         max_chunk_rows=chunk_size,
-        storage=storage,
-        spill_dir=spill_dir,
     )
     parts = [
         StreamedPartition(points, indices)

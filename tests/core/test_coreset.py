@@ -25,9 +25,10 @@ class TestCoresetSpec:
         spec = CoresetSpec.from_multiplier(10, 4)
         assert spec.target_size() == 40
 
-    def test_multiplier_below_one_rejected(self):
+    @pytest.mark.parametrize("mu", [0.5, float("nan"), float("inf")])
+    def test_multiplier_below_one_or_non_finite_rejected(self, mu):
         with pytest.raises(InvalidParameterError):
-            CoresetSpec.from_multiplier(10, 0.5)
+            CoresetSpec.from_multiplier(10, mu)
 
     def test_max_size_caps_target(self):
         spec = CoresetSpec.from_multiplier(10, 8, max_size=50)

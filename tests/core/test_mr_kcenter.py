@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MapReduceKCenter, gmm_select
+from repro.core import MapReduceKCenter, MapReduceKCenterOutliers, gmm_select
 from repro.evaluation import optimal_kcenter_radius
 from repro.exceptions import InvalidParameterError, MemoryBudgetExceededError
 
@@ -118,3 +118,18 @@ class TestMapReduceKCenterQuality:
         adaptive = MapReduceKCenter(k, ell=4, epsilon=0.25, random_state=2).fit(medium_blobs)
         assert adaptive.coreset_size >= baseline.coreset_size
         assert adaptive.radius <= baseline.radius * 1.05 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        MapReduceKCenter(5, ell=4, coreset_multiplier=2, random_state=0),
+        MapReduceKCenterOutliers(5, 10, ell=4, coreset_multiplier=2, random_state=0),
+    ],
+    ids=["kcenter", "outliers"],
+)
+def test_phase_times_are_the_round_reducer_times(medium_blobs, solver):
+    result = solver.fit(medium_blobs)
+    assert result.coreset_time == result.stats.rounds[0].sequential_time
+    assert result.solve_time == result.stats.rounds[1].sequential_time
+    assert result.peak_working_memory_size == result.stats.peak_working_memory_size

@@ -26,6 +26,16 @@ class TestConfiguration:
         with pytest.raises(InvalidParameterError):
             MapReduceKCenterOutliers(5, 10, partitioning="bogus")
 
+    @pytest.mark.parametrize("eps_hat", [float("nan"), float("inf")])
+    def test_non_finite_eps_hat_rejected(self, eps_hat):
+        with pytest.raises(InvalidParameterError):
+            MapReduceKCenterOutliers(3, 5, eps_hat=eps_hat, coreset_multiplier=2)
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_multiplier_rejected(self, small_blobs, mu):
+        with pytest.raises(InvalidParameterError):
+            MapReduceKCenterOutliers(3, 5, coreset_multiplier=mu).fit(small_blobs)
+
     def test_z_too_large(self, small_blobs):
         with pytest.raises(InvalidParameterError):
             MapReduceKCenterOutliers(3, small_blobs.shape[0]).fit(small_blobs)

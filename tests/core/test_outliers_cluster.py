@@ -95,9 +95,10 @@ class TestOutliersClusterSolver:
         with pytest.raises(InvalidParameterError):
             solver.run(radius=-1.0)
 
-    def test_negative_eps_hat_rejected(self, small_blobs):
+    @pytest.mark.parametrize("eps_hat", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_eps_hat_rejected(self, small_blobs, eps_hat):
         with pytest.raises(InvalidParameterError):
-            OutliersClusterSolver(_unit_coreset(small_blobs), k=2, eps_hat=-0.1)
+            OutliersClusterSolver(_unit_coreset(small_blobs), k=2, eps_hat=eps_hat)
 
     def test_requires_weighted_points(self, small_blobs):
         with pytest.raises(InvalidParameterError):

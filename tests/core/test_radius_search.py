@@ -24,9 +24,10 @@ class TestDeltaFor:
         eps_hat = 0.3
         assert delta_for(eps_hat) == pytest.approx(eps_hat / (3 + 4 * eps_hat))
 
-    def test_negative_rejected(self):
+    @pytest.mark.parametrize("eps_hat", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_rejected(self, eps_hat):
         with pytest.raises(InvalidParameterError):
-            delta_for(-0.1)
+            delta_for(eps_hat)
 
 
 class TestSearchRadius:

@@ -15,8 +15,9 @@ class TestCoresetStreamOutliers:
             CoresetStreamOutliers(5, 10, coreset_size=10)  # below k + z
         with pytest.raises(InvalidParameterError):
             CoresetStreamOutliers(5, 10, coreset_multiplier=0.5)
-        with pytest.raises(InvalidParameterError):
-            CoresetStreamOutliers(5, 10, eps_hat=-1.0)
+        for eps_hat in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                CoresetStreamOutliers(5, 10, eps_hat=eps_hat)
 
     def test_basic_run(self, blobs_with_outliers):
         data = blobs_with_outliers.points

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro._validation import (
+    check_eps_hat,
     check_epsilon,
     check_k_z,
     check_non_negative_int,
@@ -88,6 +89,17 @@ class TestCheckEpsilon:
     def test_rejects_non_numeric(self):
         with pytest.raises(InvalidParameterError):
             check_epsilon("a lot")
+
+
+class TestCheckEpsHat:
+    @pytest.mark.parametrize("value", [0.0, 0.25, 3.0])
+    def test_valid(self, value):
+        assert check_eps_hat(value) == value
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf"), "a lot"])
+    def test_rejects_negative_non_finite_and_non_numeric(self, value):
+        with pytest.raises(InvalidParameterError):
+            check_eps_hat(value)
 
 
 class TestCheckKZ:
