@@ -52,8 +52,9 @@ def test_outliers_cluster_single_run(benchmark):
 
 def test_outliers_cluster_radius_probes(benchmark):
     # The radius-probe pattern of search_radius: many run() calls over the
-    # same cached pairwise matrix. Tracks the cost of the per-probe setup
-    # (boolean selection balls + incremental ball-weight maintenance).
+    # same cached pairwise matrix. Tracks the per-probe cost: one pass over
+    # the matrix in row blocks for the ball weights, then per pick a pass
+    # over the fewer of the newly covered and the still-uncovered rows.
     points = _points(900)
     coreset = WeightedPoints(points=points, weights=np.ones(points.shape[0]))
     solver = OutliersClusterSolver(coreset, k=15, eps_hat=1 / 6)
@@ -74,6 +75,20 @@ def test_radius_search(benchmark):
     solver = OutliersClusterSolver(coreset, k=10, eps_hat=1 / 6)
     result = benchmark(lambda: search_radius(solver, z=20))
     assert result.solution.uncovered_weight <= 20
+
+
+def test_search_radius_union_scale(benchmark):
+    # The MapReduce outlier algorithm's round 2 at the size of the
+    # benchmark's mr-outliers union: ell * mu * (k + z) = 8 * 4 * 120 =
+    # 3,840 weighted points, searched once per call.
+    k, z = 20, 100
+    points = _points(3840)
+    weights = np.random.default_rng(bench_seed()).integers(1, 25, size=points.shape[0])
+    coreset = WeightedPoints(points=points, weights=weights.astype(np.float64))
+    solver = OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6)
+    result = benchmark(lambda: search_radius(solver, z=z))
+    assert result.solution.n_centers <= k
+    assert result.solution.uncovered_weight <= z
 
 
 def test_streaming_coreset_throughput(benchmark):

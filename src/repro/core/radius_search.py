@@ -120,15 +120,13 @@ def search_radius(
 
     candidates = solver.candidate_radii()
     # Degenerate coreset: all points coincide, any radius (even 0) works.
-    zero_result = feasible(0.0)
-    if zero_result is not None:
+    # Without a second distinct point there is nothing else to probe: a
+    # single point left infeasible at 0 is impossible for k >= 1, and the
+    # r = 0 probe is returned nonetheless.
+    zero_result = solver.run(0.0)
+    probes += 1
+    if zero_result.uncovered_weight <= z or candidates.size == 0:
         return RadiusSearchResult(radius=0.0, solution=zero_result, probes=probes)
-    if candidates.size == 0:
-        # A single distinct point that is still infeasible can only happen
-        # when z is smaller than the weight k centers cannot absorb, which
-        # is impossible for k >= 1; guard nonetheless.
-        result = solver.run(0.0)
-        return RadiusSearchResult(radius=0.0, solution=result, probes=probes)
 
     # Binary search over the sorted pairwise distances for the smallest
     # feasible candidate.

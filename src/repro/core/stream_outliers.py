@@ -130,8 +130,10 @@ class CoresetStreamOutliers(StreamingAlgorithm):
         self.k = check_positive_int(k, name="k")
         self.z = check_non_negative_int(z, name="z")
         if coreset_size is None:
-            if coreset_multiplier < 1:
-                raise InvalidParameterError("coreset_multiplier must be >= 1")
+            if not (np.isfinite(coreset_multiplier) and coreset_multiplier >= 1):
+                raise InvalidParameterError(
+                    f"coreset_multiplier must be finite and >= 1; got {coreset_multiplier!r}"
+                )
             coreset_size = int(round(coreset_multiplier * (self.k + self.z)))
         self.coreset_size = check_positive_int(coreset_size, name="coreset_size")
         if self.coreset_size < self.k + self.z:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import OutliersClusterSolver, outliers_cluster
+from repro.core.outliers_cluster import _ROW_BLOCK
 from repro.evaluation import optimal_kcenter_with_outliers_radius
 from repro.exceptions import InvalidParameterError
 from repro.metricspace import WeightedPoints
@@ -119,19 +122,37 @@ class TestIncrementalBallWeights:
 
     @staticmethod
     def _naive_run(solver: OutliersClusterSolver, radius: float):
+        """Literal Algorithm 1; also names the update each non-final pick needs.
+
+        After a pick the solver either subtracts the newly covered rows or
+        recomputes from the still-uncovered ones, whichever set is smaller.
+        """
         selection_radius = (1.0 + 2.0 * solver.eps_hat) * radius
         coverage_radius = (3.0 + 4.0 * solver.eps_hat) * radius
         pairwise = solver.pairwise_distances
         weights = solver.coreset.weights
         uncovered = np.ones(len(solver.coreset), dtype=bool)
         centers = []
+        updates = []
         while len(centers) < solver.k and uncovered.any():
             uncovered_weight = np.where(uncovered, weights, 0.0)
             ball_weights = (pairwise <= selection_radius) @ uncovered_weight
             center = int(np.argmax(ball_weights))
             centers.append(center)
-            uncovered &= ~(pairwise[center] <= coverage_radius)
-        return centers, uncovered
+            newly_covered = uncovered & (pairwise[center] <= coverage_radius)
+            uncovered &= ~newly_covered
+            if len(centers) < solver.k:
+                smaller = newly_covered.sum() <= uncovered.sum()
+                updates.append("subtract" if smaller else "recompute")
+        return centers, uncovered, updates
+
+    def _assert_matches_naive(self, solver: OutliersClusterSolver, radius: float):
+        result = solver.run(radius)
+        expected_centers, expected_uncovered, updates = self._naive_run(solver, radius)
+        assert list(result.center_indices) == expected_centers
+        assert np.array_equal(result.uncovered_mask, expected_uncovered)
+        assert result.uncovered_weight == solver.coreset.weights[expected_uncovered].sum()
+        return updates
 
     @pytest.mark.parametrize("quantile", (0.02, 0.1, 0.3, 0.6))
     def test_matches_naive_reference(self, small_blobs, quantile):
@@ -142,10 +163,34 @@ class TestIncrementalBallWeights:
         coreset = WeightedPoints(points=small_blobs, weights=weights)
         solver = OutliersClusterSolver(coreset, k=4, eps_hat=1 / 6)
         radius = float(np.quantile(solver.candidate_radii(), quantile))
-        result = solver.run(radius)
-        expected_centers, expected_uncovered = self._naive_run(solver, radius)
-        assert list(result.center_indices) == expected_centers
-        assert np.array_equal(result.uncovered_mask, expected_uncovered)
+        self._assert_matches_naive(solver, radius)
+
+    def test_matches_naive_reference_beyond_one_row_block(self):
+        # 700 points span several row blocks; most points have duplicates,
+        # so equal balls make argmax ties; integer weights reach 1e6. The
+        # radii run from a few newly covered points per pick (subtract) to
+        # most of the coreset covered at once (recompute), and both update
+        # rules must occur.
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(230, 3)) * np.array([1.0, 4.0, 9.0])
+        points = base[rng.integers(0, base.shape[0], size=700)]
+        weights = rng.integers(1, 10**6 + 1, size=700).astype(np.float64)
+        solver = OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=6)
+        assert len(solver.coreset) > 2 * _ROW_BLOCK
+        candidates = solver.candidate_radii()
+        updates = []
+        for quantile in (0.0, 0.005, 0.02, 0.1, 0.3, 0.7):
+            radius = float(np.quantile(candidates, quantile))
+            updates += self._assert_matches_naive(solver, radius)
+        assert {"subtract", "recompute"} <= set(updates)
+
+    def test_matches_naive_reference_for_one_point(self):
+        coreset = WeightedPoints(points=np.array([[1.0, 2.0]]), weights=np.array([7.0]))
+        solver = OutliersClusterSolver(coreset, k=3, eps_hat=1 / 6)
+        assert solver.candidate_radii().size == 0
+        for radius in (0.0, 1.0):
+            self._assert_matches_naive(solver, radius)
+        assert list(solver.run(0.0).center_indices) == [0]
 
     def test_repeated_probes_are_independent(self, small_blobs):
         solver = OutliersClusterSolver(_unit_coreset(small_blobs), k=3, eps_hat=1 / 6)
@@ -154,6 +199,40 @@ class TestIncrementalBallWeights:
         second = solver.run(radius)
         assert np.array_equal(first.center_indices, second.center_indices)
         assert first.uncovered_weight == second.uncovered_weight
+
+
+def _peak_allocated_bytes(function) -> int:
+    """Peak bytes traced while ``function`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = function()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - before
+
+
+class TestProbeMemory:
+    """A probe works in row blocks: no temporary the size of the matrix."""
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(1000, 4))
+        weights = rng.integers(1, 20, size=1000).astype(np.float64)
+        return OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=20)
+
+    def test_run_allocates_under_half_the_matrix(self, solver):
+        radius = float(np.quantile(solver.candidate_radii(), 0.05))
+        peak = _peak_allocated_bytes(lambda: solver.run(radius))
+        assert peak < 0.5 * solver.pairwise_distances.nbytes
+
+    def test_candidate_radii_allocate_under_one_and_a_quarter_matrices(self, solver):
+        peak = _peak_allocated_bytes(solver.candidate_radii)
+        assert peak < 1.25 * solver.pairwise_distances.nbytes
 
 
 class TestOutliersClusterFunction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import OutliersClusterSolver, search_radius
+from repro.core import OutliersClusterResult, OutliersClusterSolver, search_radius
 from repro.core.radius_search import delta_for
 from repro.evaluation import optimal_kcenter_with_outliers_radius
 from repro.exceptions import InvalidParameterError
@@ -40,6 +40,40 @@ class TestSearchRadius:
         solver = OutliersClusterSolver(_unit_coreset(small_blobs[:50]), k=3, eps_hat=0.1)
         result = search_radius(solver, z=2)
         assert result.probes >= 1
+
+    def test_single_point_coreset_takes_one_probe(self):
+        solver = OutliersClusterSolver(_unit_coreset(np.array([[3.0, 4.0]])), k=1)
+        result = search_radius(solver, z=0)
+        assert result.probes == 1
+        assert result.radius == 0.0
+        assert list(result.solution.center_indices) == [0]
+
+    def test_no_candidates_reuses_the_zero_radius_probe(self):
+        # The guarded branch: no pairwise distance to search and radius 0
+        # infeasible. The r = 0 probe is the answer, run and counted once.
+        infeasible = OutliersClusterResult(
+            center_indices=np.empty(0, dtype=np.intp),
+            uncovered_mask=np.ones(1, dtype=bool),
+            uncovered_weight=1.0,
+            radius=0.0,
+        )
+
+        class InfeasibleAtZero:
+            eps_hat = 0.0
+            runs = 0
+
+            def candidate_radii(self):
+                return np.empty(0)
+
+            def run(self, radius):
+                self.runs += 1
+                return infeasible
+
+        solver = InfeasibleAtZero()
+        result = search_radius(solver, z=0)
+        assert solver.runs == 1
+        assert result.probes == 1
+        assert result.solution is infeasible
 
     def test_zero_radius_for_duplicate_points(self):
         points = np.zeros((10, 2))

@@ -19,6 +19,11 @@ class TestCoresetStreamOutliers:
             with pytest.raises(InvalidParameterError):
                 CoresetStreamOutliers(5, 10, eps_hat=eps_hat)
 
+    @pytest.mark.parametrize("multiplier", [float("nan"), float("inf")])
+    def test_non_finite_coreset_multiplier_rejected(self, multiplier):
+        with pytest.raises(InvalidParameterError, match="coreset_multiplier"):
+            CoresetStreamOutliers(5, 10, coreset_multiplier=multiplier)
+
     def test_basic_run(self, blobs_with_outliers):
         data = blobs_with_outliers.points
         z = blobs_with_outliers.n_outliers
