@@ -52,9 +52,11 @@ def test_outliers_cluster_single_run(benchmark):
 
 def test_outliers_cluster_radius_probes(benchmark):
     # The radius-probe pattern of search_radius: many run() calls over the
-    # same cached pairwise matrix. Tracks the per-probe cost: one pass over
-    # the matrix in row blocks for the ball weights, then per pick a pass
-    # over the fewer of the newly covered and the still-uncovered rows.
+    # same cached pairwise matrix and neighbour order. Tracks the per-probe
+    # cost: a bisection over the neighbour order for the ball sizes, then
+    # the ball weights of all rows, and per pick those of the fewer of the
+    # newly covered and the still-uncovered rows, scattered from the
+    # neighbour order (small balls) or summed densely (large balls).
     points = _points(900)
     coreset = WeightedPoints(points=points, weights=np.ones(points.shape[0]))
     solver = OutliersClusterSolver(coreset, k=15, eps_hat=1 / 6)
@@ -77,18 +79,33 @@ def test_radius_search(benchmark):
     assert result.solution.uncovered_weight <= 20
 
 
-def test_search_radius_union_scale(benchmark):
+def _search_union_scale(benchmark, k: int):
     # The MapReduce outlier algorithm's round 2 at the size of the
     # benchmark's mr-outliers union: ell * mu * (k + z) = 8 * 4 * 120 =
-    # 3,840 weighted points, searched once per call.
-    k, z = 20, 100
+    # 3,840 weighted points. Each call builds the solver (pairwise matrix
+    # and neighbour order) and runs one search, as round 2 does.
+    z = 100
     points = _points(3840)
     weights = np.random.default_rng(bench_seed()).integers(1, 25, size=points.shape[0])
     coreset = WeightedPoints(points=points, weights=weights.astype(np.float64))
-    solver = OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6)
-    result = benchmark(lambda: search_radius(solver, z=z))
+
+    def build_and_search():
+        return search_radius(OutliersClusterSolver(coreset, k=k, eps_hat=1 / 6), z=z)
+
+    result = benchmark(build_and_search)
     assert result.solution.n_centers <= k
     assert result.solution.uncovered_weight <= z
+
+
+def test_search_radius_union_scale(benchmark):
+    _search_union_scale(benchmark, k=20)
+
+
+def test_search_radius_union_scale_two_centers(benchmark):
+    # With two centers the searched radii are larger and many selection
+    # balls hold a large share of the union: the early probes' ball sums
+    # take the dense branch, which this variant keeps in view.
+    _search_union_scale(benchmark, k=2)
 
 
 def test_streaming_coreset_throughput(benchmark):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
 from ..exceptions import InvalidParameterError, NotFittedError
-from ..metricspace.distance import Metric, get_metric
+from ..metricspace.distance import Metric, get_metric, strict_upper_triangle
 from ..streaming.runner import StreamingAlgorithm
 
 __all__ = [
@@ -192,7 +192,7 @@ class BaseStreamKCenter(StreamingAlgorithm):
     def _initialize(self) -> None:
         points = np.vstack(self._buffer)
         pairwise = self.metric.pairwise(points)
-        upper = pairwise[np.triu_indices(points.shape[0], k=1)]
+        upper = strict_upper_triangle(pairwise)
         positive = upper[upper > 0]
         base = float(positive.min()) / 2.0 if positive.size else 1.0
         # Stagger the m instances across one factor-2 octave so that, jointly,
@@ -474,7 +474,7 @@ class BaseStreamOutliers(StreamingAlgorithm):
     def _initialize(self) -> None:
         points = np.vstack(self._buffer)
         pairwise = self.metric.pairwise(points)
-        upper = pairwise[np.triu_indices(points.shape[0], k=1)]
+        upper = strict_upper_triangle(pairwise)
         positive = upper[upper > 0]
         base = float(positive.min()) / 2.0 if positive.size else 1.0
         for index in range(self.n_instances):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..exceptions import InvalidParameterError, NotFittedError
-from ..metricspace.distance import Metric, get_metric
+from ..metricspace.distance import Metric, get_metric, strict_upper_triangle
 from ..metricspace.points import WeightedPoints
 
 __all__ = ["StreamingCoreset"]
@@ -179,8 +179,7 @@ class StreamingCoreset:
         return self._metric.pairwise(self._centers[: self._size])
 
     def _min_positive_pairwise(self) -> float:
-        pairs = self._active_pairwise()
-        upper = pairs[np.triu_indices(self._size, k=1)]
+        upper = strict_upper_triangle(self._active_pairwise())
         positive = upper[upper > 0]
         return float(positive.min()) if positive.size else 0.0
 

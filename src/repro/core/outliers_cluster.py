@@ -14,15 +14,20 @@ it is the second-round workhorse of both the MapReduce and the Streaming
 algorithms for the outlier formulation.
 
 :class:`OutliersClusterSolver` precomputes the (small) pairwise distance
-matrix of ``T`` once so that the radius search of
-:mod:`repro.core.radius_search` can probe many radii cheaply. A probe
-reads that ``m x m`` matrix in blocks of rows and never builds an
-``m x m`` temporary: one full pass for the initial ball weights, then,
-per selected center, a pass over whichever is smaller of the newly
-covered and the still-uncovered rows. Its extra memory is a few blocks
-of ``_ROW_BLOCK`` rows. For the integer proxy weights of the coreset
-constructions every ball weight is an exact float64 sum, so the picks
-(ties go to the lowest index) do not depend on the order of the sums.
+matrix of ``T`` once, and with it each row's neighbour order (the row's
+argsort, in the smallest unsigned dtype that indexes ``T``), so that the
+radius search of :mod:`repro.core.radius_search` can probe many radii
+cheaply. A probe costs its selection balls, not ``m^2``: a vectorised
+bisection over the neighbour order finds every ball's size in about
+``log2 m`` gathers per row, and the ball weights are scattered from the
+first entries of each order row, so the work is proportional to the
+pairs inside the balls. Balls holding a large share of the pairs are
+summed densely instead, one block of ``_ROW_BLOCK`` rows at a time. The
+memory is the matrix plus at most a quarter of it for the order (up to
+65,536 points) and a few blocks of temporaries. For the integer proxy
+weights of the coreset constructions every ball weight is an exact
+float64 sum, so the picks (ties go to the lowest index) do not depend on
+the order of the sums.
 """
 
 from __future__ import annotations
@@ -33,15 +38,26 @@ import numpy as np
 
 from .._validation import check_eps_hat, check_positive_int
 from ..exceptions import InvalidParameterError
-from ..metricspace.distance import Metric, get_metric
+from ..metricspace.distance import Metric, get_metric, strict_upper_triangle
 from ..metricspace.points import WeightedPoints
 
 __all__ = ["OutliersClusterResult", "OutliersClusterSolver", "outliers_cluster"]
 
-# Rows of the pairwise matrix compared against the selection radius at a
-# time. A block's boolean slab is _ROW_BLOCK * m bytes and its float64
-# cast eight times that: about 1 and 8 MB for a 4,000-point union.
+# Rows of the pairwise matrix the dense ball sum compares against the
+# selection radius at a time. A block's boolean slab is _ROW_BLOCK * m
+# bytes and its float64 cast eight times that: about 1 and 8 MB for a
+# 4,000-point union.
 _ROW_BLOCK = 256
+
+# Pairs (but at least one row) handled at a time by the argsort that
+# builds the neighbour order, the scattered ball sum and the dedupe of
+# the candidate radii: a few hundred KB of temporaries per step.
+_PAIR_BLOCK = _ROW_BLOCK**2
+
+# Share of the rows' pairs inside their selection balls from which the
+# ball sum reads the rows densely: scattering a ball entry costs a few
+# times more than comparing a matrix entry.
+_DENSE_BALL_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,13 @@ class OutliersClusterSolver:
         self._metric = get_metric(metric)
         self._pairwise = self._metric.pairwise(coreset.points)
         self._weights = coreset.weights
+        # Each row's neighbour order, in the smallest dtype that indexes it.
+        m = self._pairwise.shape[0]
+        self._order = np.empty((m, m), dtype=np.min_scalar_type(m - 1))
+        rows = max(1, _PAIR_BLOCK // m)
+        for start in range(0, m, rows):
+            block = slice(start, start + rows)
+            self._order[block] = np.argsort(self._pairwise[block], axis=1)
 
     # -- read-only properties ---------------------------------------------------------
 
@@ -131,13 +154,24 @@ class OutliersClusterSolver:
         return self._pairwise
 
     def candidate_radii(self) -> np.ndarray:
-        """Sorted unique pairwise distances — the radius-search candidates."""
-        pairwise = self._pairwise
-        upper = np.concatenate([pairwise[row, row + 1 :] for row in range(pairwise.shape[0])])
-        upper.sort()
-        keep = np.ones(upper.size, dtype=bool)
-        np.not_equal(upper[1:], upper[:-1], out=keep[1:])
-        return upper[keep]
+        """Sorted unique pairwise distances — the radius-search candidates.
+
+        The strict upper triangle is sorted and deduplicated in place,
+        ``_PAIR_BLOCK`` values at a time; the result is a view of its
+        leading part.
+        """
+        values = strict_upper_triangle(self._pairwise)
+        values.sort()
+        size = 0
+        for start in range(0, values.size, _PAIR_BLOCK):
+            block = values[start : start + _PAIR_BLOCK]
+            keep = np.empty(block.size, dtype=bool)
+            keep[0] = size == 0 or block[0] != values[size - 1]
+            np.not_equal(block[1:], block[:-1], out=keep[1:])
+            kept = block[keep]
+            values[size : size + kept.size] = kept
+            size += kept.size
+        return values[:size]
 
     # -- the algorithm -----------------------------------------------------------------
 
@@ -147,23 +181,27 @@ class OutliersClusterSolver:
         Follows Algorithm 1: selection balls of radius
         ``(1 + 2*eps_hat) * radius``, coverage balls of radius
         ``(3 + 4*eps_hat) * radius``, stop when ``k`` centers are chosen or
-        nothing is left uncovered.
+        nothing is left uncovered. ``radius`` may be ``inf`` (everything
+        is covered); a negative or NaN radius is rejected.
 
-        Cost per probe: one ``O(m^2)`` pass over the cached pairwise
-        matrix for the initial ball weights, then after each pick but the
-        last a pass over the newly covered rows (subtracted) or the
-        still-uncovered rows (recomputed), whichever are fewer. Rows are
-        read ``_ROW_BLOCK`` at a time, so no ``m x m`` temporary is built.
-        With integer weights every ball weight is exact, and the result
-        is that of the literal algorithm.
+        Cost per probe: about ``log2 m`` gathers per row for the ball
+        sizes, then work proportional to the pairs inside the selection
+        balls of the rows summed: all rows for the initial ball weights,
+        then after each pick but the last the newly covered rows
+        (subtracted) or the still-uncovered rows (recomputed), whichever
+        are fewer. Rows whose balls hold a large share of their pairs are
+        summed densely, ``_ROW_BLOCK`` at a time. No ``m x m`` temporary
+        is built. With integer weights every ball weight is exact, and
+        the result is that of the literal algorithm.
         """
-        if radius < 0:
-            raise InvalidParameterError("radius must be non-negative")
+        if not radius >= 0:
+            raise InvalidParameterError(f"radius must be non-negative, not {radius!r}")
         selection_radius = (1.0 + 2.0 * self._eps_hat) * radius
         coverage_radius = (3.0 + 4.0 * self._eps_hat) * radius
 
+        ball_sizes = self._ball_sizes(selection_radius)
         uncovered = np.ones(len(self._coreset), dtype=bool)
-        ball_weights = self._weight_within(None, selection_radius)
+        ball_weights = self._weight_within(None, ball_sizes, selection_radius)
         centers: list[int] = []
         while uncovered.any():
             center = int(np.argmax(ball_weights))
@@ -176,9 +214,11 @@ class OutliersClusterSolver:
                 break
             still_uncovered = np.flatnonzero(uncovered)
             if newly_covered.size <= still_uncovered.size:
-                ball_weights -= self._weight_within(newly_covered, selection_radius)
+                ball_weights -= self._weight_within(newly_covered, ball_sizes, selection_radius)
             else:
-                ball_weights = self._weight_within(still_uncovered, selection_radius)
+                ball_weights = self._weight_within(
+                    still_uncovered, ball_sizes, selection_radius
+                )
 
         return OutliersClusterResult(
             center_indices=np.array(centers, dtype=np.intp),
@@ -187,20 +227,72 @@ class OutliersClusterSolver:
             radius=float(radius),
         )
 
-    def _weight_within(self, rows: np.ndarray | None, radius: float) -> np.ndarray:
+    def _ball_sizes(self, radius: float) -> np.ndarray:
+        """Per point, the number of points within ``radius`` of it.
+
+        A point's ball is a prefix of its row of the neighbour order. One
+        vectorised bisection over all rows finds the prefix lengths: each
+        of its ``m.bit_length()`` steps gathers one distance per row.
+        """
+        m = self._pairwise.shape[0]
+        row_starts = np.arange(0, m * m, m)
+        flat_order = self._order.reshape(-1)
+        flat_pairwise = self._pairwise.reshape(-1)
+        sizes = np.zeros(m, dtype=np.intp)
+        step = 1 << (m.bit_length() - 1)
+        while step:
+            grown = sizes + step
+            fits = grown <= m
+            np.minimum(grown, m, out=grown)
+            farthest = flat_order[row_starts + grown - 1]
+            fits &= flat_pairwise[row_starts + farthest] <= radius
+            sizes[fits] += step
+            step >>= 1
+        return sizes
+
+    def _weight_within(
+        self, rows: np.ndarray | None, ball_sizes: np.ndarray, radius: float
+    ) -> np.ndarray:
         """Per point, the weight of ``rows`` (all if ``None``) within ``radius`` of it.
 
-        The pairwise matrix is exactly symmetric, so this sums rows
-        ``weights[i] * (pairwise[i] <= radius)``, ``_ROW_BLOCK`` at a
-        time: contiguous reads where columns would be strided gathers.
+        ``ball_sizes`` are the ball sizes at ``radius``. The pairwise
+        matrix is exactly symmetric, so row ``i`` adds ``weights[i]`` to
+        the points of its own ball, ``_order[i, :ball_sizes[i]]``: these
+        are scattered with ``np.bincount``, at most ``_PAIR_BLOCK`` pairs
+        (or one row) at a time. When the balls hold at least
+        ``_DENSE_BALL_SHARE`` of the rows' pairs, the rows are instead
+        compared against ``radius`` whole, ``_ROW_BLOCK`` at a time.
         """
-        total = np.zeros(self._pairwise.shape[0])
-        count = total.size if rows is None else rows.size
-        for start in range(0, count, _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            if rows is not None:
-                block = rows[block]
-            total += self._weights[block] @ (self._pairwise[block] <= radius)
+        m = self._pairwise.shape[0]
+        total = np.zeros(m)
+        count = m if rows is None else rows.size
+        ball_pairs = ball_sizes.sum() if rows is None else ball_sizes[rows].sum()
+        if ball_pairs >= _DENSE_BALL_SHARE * count * m:
+            for start in range(0, count, _ROW_BLOCK):
+                block = slice(start, start + _ROW_BLOCK)
+                if rows is not None:
+                    block = rows[block]
+                total += self._weights[block] @ (self._pairwise[block] <= radius)
+            return total
+
+        if rows is None:
+            rows = np.arange(m)
+        flat_order = self._order.reshape(-1)
+        ends = np.cumsum(ball_sizes[rows])
+        start = 0
+        while start < rows.size:
+            done = ends[start - 1] if start else 0
+            stop = int(np.searchsorted(ends, done + max(_PAIR_BLOCK, m), side="right"))
+            chunk = rows[start:stop]
+            sizes = ball_sizes[chunk]
+            # Flat positions of _order[i, :sizes[i]] for the chunk's rows:
+            # row i's ball starts at offset firsts[i] of the chunk.
+            firsts = ends[start:stop] - sizes - done
+            positions = np.repeat(chunk * m - firsts, sizes)
+            positions += np.arange(positions.size)
+            weights = np.repeat(self._weights[chunk], sizes)
+            total += np.bincount(flat_order[positions], weights=weights, minlength=m)
+            start = stop
         return total
 
     def uncovered_weight(self, radius: float) -> float:

@@ -15,6 +15,8 @@ per-row ``(min distance, argmin index)`` without ever materialising the
 full ``batch x centers`` product — the primitive the batched doubling
 coreset is built on.
 
+:func:`strict_upper_triangle` lists each pair of a pairwise matrix once.
+
 A :class:`Metric` bundles these primitives for a named metric so that the
 algorithms can stay metric-agnostic. Euclidean, squared-free Manhattan
 and Chebyshev metrics are provided; all three are true metrics (they
@@ -42,8 +44,16 @@ __all__ = [
     "point_to_points",
     "pairwise",
     "cdist",
+    "strict_upper_triangle",
     "DistanceCounter",
 ]
+
+
+# Values of ``||x||^2 + ||y||^2`` formed at a time by :func:`euclidean`.
+_EUCLIDEAN_BLOCK_ELEMENTS = 65_536
+
+# Side of the square tiles :meth:`Metric.pairwise` symmetrises in place.
+_SYMMETRISE_TILE = 256
 
 
 def _diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,15 +64,27 @@ def _diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean (L2) cross-distance matrix between row sets ``a`` and ``b``."""
+    """Euclidean (L2) cross-distance matrix between row sets ``a`` and ``b``.
+
+    Built in place in one output matrix: ``a @ b.T`` is doubled, then
+    subtracted from ``||x||^2 + ||y||^2`` one row block at a time, so the
+    only other temporary is a block of ``_EUCLIDEAN_BLOCK_ELEMENTS``
+    values. Each entry takes the same floating-point operations as
+    ``aa + bb - 2.0 * (a @ b.T)``.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y  (clipped for numerical safety)
     aa = np.einsum("ij,ij->i", a, a)[:, None]
     bb = np.einsum("ij,ij->i", b, b)[None, :]
-    sq = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    out = a @ b.T
+    out *= 2.0
+    rows = max(1, _EUCLIDEAN_BLOCK_ELEMENTS // max(1, out.shape[1]))
+    for start in range(0, out.shape[0], rows):
+        block = out[start : start + rows]
+        np.subtract(aa[start : start + rows] + bb, block, out=block)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,15 +196,24 @@ class Metric:
         return out
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
-        """Full symmetric pairwise distance matrix of ``points``."""
+        """Full symmetric pairwise distance matrix of ``points``, zero diagonal.
+
+        The BLAS-backed metrics are symmetrised in place, in the one output
+        matrix: each pair of ``_SYMMETRISE_TILE``-square tiles mirrored
+        across the diagonal gets ``(upper + lower.T) * 0.5`` (bitwise equal
+        to ``(matrix + matrix.T) * 0.5``), so the only temporaries are two
+        tiles.
+        """
         matrix = self.cross(points, points)
         if not self.exactly_symmetric:
-            # Symmetrize in place (guards against FP noise in BLAS-backed
-            # metrics). NumPy's overlap detection buffers the transposed
-            # view, so this peaks at one temporary matrix instead of the
-            # two that `0.5 * (matrix + matrix.T)` would allocate.
-            matrix += matrix.T
-            matrix *= 0.5
+            m = matrix.shape[0]
+            for top in range(0, m, _SYMMETRISE_TILE):
+                rows = slice(top, top + _SYMMETRISE_TILE)
+                for left in range(top, m, _SYMMETRISE_TILE):
+                    cols = slice(left, left + _SYMMETRISE_TILE)
+                    tile = (matrix[rows, cols] + matrix[cols, rows].T) * 0.5
+                    matrix[rows, cols] = tile
+                    matrix[cols, rows] = tile.T
         np.fill_diagonal(matrix, 0.0)
         return matrix
 
@@ -295,6 +326,23 @@ def get_metric(metric: str | Metric = "euclidean") -> Metric:
         raise InvalidParameterError(
             f"unknown metric {metric!r}; available: {', '.join(available_metrics())}"
         ) from None
+
+
+def strict_upper_triangle(matrix: np.ndarray) -> np.ndarray:
+    """Entries above the diagonal of a square ``matrix``, row by row.
+
+    The values and order of ``matrix[np.triu_indices(m, k=1)]``, copied
+    one row at a time into a new 1-D array, without the two
+    ``m * (m - 1) / 2``-long index arrays ``np.triu_indices`` builds.
+    """
+    m = matrix.shape[0]
+    upper = np.empty(m * (m - 1) // 2, dtype=matrix.dtype)
+    start = 0
+    for row in range(m - 1):
+        stop = start + m - 1 - row
+        upper[start:stop] = matrix[row, row + 1 :]
+        start = stop
+    return upper
 
 
 def point_to_points(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_points, check_positive_int, check_random_state
-from .distance import Metric, get_metric
+from .distance import Metric, get_metric, strict_upper_triangle
 
 __all__ = [
     "doubling_dimension_estimate",
@@ -132,7 +132,7 @@ def correlation_dimension_estimate(
         pts = pts[rng.choice(pts.shape[0], size=sample_size, replace=False)]
 
     distances = metric.pairwise(pts)
-    upper = distances[np.triu_indices(distances.shape[0], k=1)]
+    upper = strict_upper_triangle(distances)
     upper = upper[upper > 0]
     if upper.size == 0:
         return 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,22 @@ def blobs_with_outliers(small_blobs):
 def tiny_points():
     """A hand-crafted 1-d dataset whose optima are easy to reason about."""
     return np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0], [50.0]])
+
+
+@pytest.fixture
+def peak_allocated_bytes():
+    """Peak bytes traced while a function runs, its result included."""
+
+    def measure(function) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            result = function()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak - before
+
+    return measure

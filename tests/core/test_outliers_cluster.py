@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from repro.core import OutliersClusterSolver, outliers_cluster
-from repro.core.outliers_cluster import _ROW_BLOCK
+from repro.core.outliers_cluster import _DENSE_BALL_SHARE, _PAIR_BLOCK, _ROW_BLOCK
 from repro.evaluation import optimal_kcenter_with_outliers_radius
 from repro.exceptions import InvalidParameterError
 from repro.metricspace import WeightedPoints
@@ -98,6 +96,17 @@ class TestOutliersClusterSolver:
         with pytest.raises(InvalidParameterError):
             solver.run(radius=-1.0)
 
+    def test_nan_radius_rejected(self, small_blobs):
+        # NaN compares False with everything: unchecked, one point would be
+        # picked k times and all the weight reported uncovered.
+        with pytest.raises(InvalidParameterError):
+            outliers_cluster(_unit_coreset(small_blobs), k=3, radius=float("nan"))
+
+    def test_infinite_radius_covers_everything(self, small_blobs):
+        result = outliers_cluster(_unit_coreset(small_blobs), k=3, radius=float("inf"))
+        assert list(result.center_indices) == [0]
+        assert result.uncovered_weight == 0.0
+
     @pytest.mark.parametrize("eps_hat", [-0.1, float("nan"), float("inf")])
     def test_negative_or_non_finite_eps_hat_rejected(self, small_blobs, eps_hat):
         with pytest.raises(InvalidParameterError):
@@ -146,6 +155,16 @@ class TestIncrementalBallWeights:
                 updates.append("subtract" if smaller else "recompute")
         return centers, uncovered, updates
 
+    @staticmethod
+    def _ball_share(solver: OutliersClusterSolver, radius: float) -> float:
+        """Share of all pairs inside the selection balls at ``radius``.
+
+        The initial ball weights are summed densely exactly when this
+        share reaches ``_DENSE_BALL_SHARE``, and scattered otherwise.
+        """
+        selection_radius = (1.0 + 2.0 * solver.eps_hat) * radius
+        return float(np.mean(solver.pairwise_distances <= selection_radius))
+
     def _assert_matches_naive(self, solver: OutliersClusterSolver, radius: float):
         result = solver.run(radius)
         expected_centers, expected_uncovered, updates = self._naive_run(solver, radius)
@@ -165,6 +184,31 @@ class TestIncrementalBallWeights:
         radius = float(np.quantile(solver.candidate_radii(), quantile))
         self._assert_matches_naive(solver, radius)
 
+    def test_matches_naive_reference_on_both_sides_of_the_dense_share(self, small_blobs):
+        # 200 points index their neighbour order in uint8. The sweep runs
+        # from balls of a point or two (scattered from the neighbour
+        # order) to balls of most of the coreset (summed densely), with
+        # radii just below and above the dense-share threshold.
+        weights = np.random.default_rng(6).integers(1, 50, size=small_blobs.shape[0])
+        coreset = WeightedPoints(points=small_blobs, weights=weights.astype(np.float64))
+        solver = OutliersClusterSolver(coreset, k=5, eps_hat=1 / 6)
+        assert solver._order.dtype == np.uint8
+        candidates = solver.candidate_radii()
+        shares = []
+        for quantile in (0.0, 0.01, 0.05, 0.15, 0.4, 0.8, 1.0):
+            radius = float(np.quantile(candidates, quantile))
+            shares.append(self._ball_share(solver, radius))
+            self._assert_matches_naive(solver, radius)
+        # The radius whose selection balls hold the threshold share of pairs.
+        threshold = float(np.quantile(solver.pairwise_distances, _DENSE_BALL_SHARE))
+        threshold /= 1.0 + 2.0 * solver.eps_hat
+        for radius in (0.99 * threshold, 1.01 * threshold):
+            shares.append(self._ball_share(solver, radius))
+            self._assert_matches_naive(solver, radius)
+        assert min(shares) < _DENSE_BALL_SHARE <= max(shares)
+        assert sum(share < _DENSE_BALL_SHARE for share in shares) >= 4
+        assert sum(share >= _DENSE_BALL_SHARE for share in shares) >= 3
+
     def test_matches_naive_reference_beyond_one_row_block(self):
         # 700 points span several row blocks; most points have duplicates,
         # so equal balls make argmax ties; integer weights reach 1e6. The
@@ -177,12 +221,44 @@ class TestIncrementalBallWeights:
         weights = rng.integers(1, 10**6 + 1, size=700).astype(np.float64)
         solver = OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=6)
         assert len(solver.coreset) > 2 * _ROW_BLOCK
+        assert solver._order.dtype == np.uint16
         candidates = solver.candidate_radii()
         updates = []
-        for quantile in (0.0, 0.005, 0.02, 0.1, 0.3, 0.7):
+        shares = []
+        for quantile in (0.0, 0.005, 0.02, 0.1, 0.2, 0.3, 0.7):
             radius = float(np.quantile(candidates, quantile))
             updates += self._assert_matches_naive(solver, radius)
+            shares.append(self._ball_share(solver, radius))
         assert {"subtract", "recompute"} <= set(updates)
+        assert min(shares) < _DENSE_BALL_SHARE <= max(shares)
+        # Some initial ball sum is scattered in more than one chunk.
+        pairs = len(solver.coreset) ** 2
+        assert any(_PAIR_BLOCK < share * pairs < _DENSE_BALL_SHARE * pairs for share in shares)
+
+    def test_ball_sizes_and_weights_are_exact_in_both_branches(self):
+        # The ball sums themselves, not only the picks they lead to, for
+        # all rows, a subset and one row: scattered in one or several
+        # chunks below the dense share, summed densely above it.
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(700, 3))
+        weights = rng.integers(1, 10**6 + 1, size=700).astype(np.float64)
+        solver = OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=3)
+        pairwise = solver.pairwise_distances
+        subset = np.sort(rng.choice(700, size=300, replace=False))
+        all_ball_pairs = []
+        near_threshold = (0.98 * _DENSE_BALL_SHARE, 1.02 * _DENSE_BALL_SHARE)
+        for share in (0.001, 0.05, 0.2, *near_threshold, 0.6, 1.0):
+            radius = float(np.quantile(pairwise, share))
+            sizes = solver._ball_sizes(radius)
+            assert np.array_equal(sizes, (pairwise <= radius).sum(axis=1))
+            all_ball_pairs.append(int(sizes.sum()))
+            for rows in (None, subset, np.array([17])):
+                selected = slice(None) if rows is None else rows
+                expected = weights[selected] @ (pairwise[selected] <= radius)
+                assert np.array_equal(solver._weight_within(rows, sizes, radius), expected)
+        dense_from = _DENSE_BALL_SHARE * pairwise.size
+        assert any(_PAIR_BLOCK < pairs < dense_from for pairs in all_ball_pairs)
+        assert any(pairs >= dense_from for pairs in all_ball_pairs)
 
     def test_matches_naive_reference_for_one_point(self):
         coreset = WeightedPoints(points=np.array([[1.0, 2.0]]), weights=np.array([7.0]))
@@ -201,22 +277,8 @@ class TestIncrementalBallWeights:
         assert first.uncovered_weight == second.uncovered_weight
 
 
-def _peak_allocated_bytes(function) -> int:
-    """Peak bytes traced while ``function`` runs, its result included."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        result = function()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del result
-    return peak - before
-
-
 class TestProbeMemory:
-    """A probe works in row blocks: no temporary the size of the matrix."""
+    """The solver holds the matrix and its neighbour order, and no temporary their size."""
 
     @pytest.fixture(scope="class")
     def solver(self):
@@ -225,14 +287,24 @@ class TestProbeMemory:
         weights = rng.integers(1, 20, size=1000).astype(np.float64)
         return OutliersClusterSolver(WeightedPoints(points=points, weights=weights), k=20)
 
-    def test_run_allocates_under_half_the_matrix(self, solver):
+    def test_run_allocates_under_half_the_matrix(self, solver, peak_allocated_bytes):
         radius = float(np.quantile(solver.candidate_radii(), 0.05))
-        peak = _peak_allocated_bytes(lambda: solver.run(radius))
+        peak = peak_allocated_bytes(lambda: solver.run(radius))
         assert peak < 0.5 * solver.pairwise_distances.nbytes
 
-    def test_candidate_radii_allocate_under_one_and_a_quarter_matrices(self, solver):
-        peak = _peak_allocated_bytes(solver.candidate_radii)
+    def test_candidate_radii_allocate_under_one_and_a_quarter_matrices(
+        self, solver, peak_allocated_bytes
+    ):
+        peak = peak_allocated_bytes(solver.candidate_radii)
         assert peak < 1.25 * solver.pairwise_distances.nbytes
+
+    def test_construction_allocates_under_one_and_a_half_matrices(
+        self, solver, peak_allocated_bytes
+    ):
+        # The matrix, its quarter-size uint16 neighbour order and a few
+        # blocks of temporaries.
+        peak = peak_allocated_bytes(lambda: OutliersClusterSolver(solver.coreset, k=20))
+        assert peak < 1.5 * solver.pairwise_distances.nbytes
 
 
 class TestOutliersClusterFunction:

@@ -18,6 +18,7 @@ from repro.metricspace import (
     pairwise,
     point_to_points,
 )
+from repro.metricspace.distance import _SYMMETRISE_TILE, strict_upper_triangle
 
 
 class TestEuclidean:
@@ -177,6 +178,55 @@ class TestBlockedPrimitives:
         matrix = get_metric(name).pairwise(points)
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
+
+
+class TestInPlacePairwise:
+    """``pairwise`` builds one matrix in place, bitwise equal to the textbook forms."""
+
+    # Not a multiple of the tile side: the last row and column of tiles are ragged.
+    n_points = 2 * _SYMMETRISE_TILE + 89
+
+    @pytest.mark.parametrize("name", ("euclidean", "angular"))
+    def test_matches_full_matrix_symmetrisation_bitwise(self, name):
+        points = np.random.default_rng(41).normal(size=(self.n_points, 5)) + 3.0
+        metric = get_metric(name)
+        raw = metric.cross(points, points)
+        expected = (raw + raw.T) * 0.5
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(metric.pairwise(points), expected)
+
+    @pytest.mark.parametrize("name", TestBlockedPrimitives.metric_names)
+    def test_exactly_symmetric_with_zero_diagonal_across_tiles(self, name):
+        points = np.random.default_rng(42).normal(size=(self.n_points, 4))
+        matrix = get_metric(name).pairwise(points)
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 0.0)
+
+    @pytest.mark.parametrize("shape", ((1, 1), (7, 300), (300, 7), (1024, 400), (3, 0)))
+    def test_euclidean_matches_textbook_formula_bitwise(self, shape):
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(shape[0], 6)) * 40.0
+        b = rng.normal(size=(shape[1], 6)) + 1.0
+        aa = np.einsum("ij,ij->i", a, a)[:, None]
+        bb = np.einsum("ij,ij->i", b, b)[None, :]
+        expected = np.sqrt(np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0))
+        assert np.array_equal(euclidean(a, b), expected)
+
+    def test_euclidean_pairwise_allocates_one_matrix(self, peak_allocated_bytes):
+        points = np.random.default_rng(44).normal(size=(1000, 4))
+        nbytes = 1000 * 1000 * 8
+        peak = peak_allocated_bytes(lambda: get_metric("euclidean").pairwise(points))
+        assert peak < 1.25 * nbytes
+
+
+class TestStrictUpperTriangle:
+    @pytest.mark.parametrize("m", (0, 1, 2, 5, 64))
+    def test_matches_triu_indices(self, m):
+        matrix = np.random.default_rng(m).normal(size=(m, m))
+        expected = matrix[np.triu_indices(m, k=1)]
+        upper = strict_upper_triangle(matrix)
+        assert upper.dtype == matrix.dtype
+        assert np.array_equal(upper, expected)
 
 
 class TestDistanceCounter:
