@@ -74,7 +74,8 @@ def _add_batch_size_argument(parser: argparse.ArgumentParser) -> None:
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,
-        help="executor backend for the MapReduce runtime (default: serial)",
+        help="executor backend for the MapReduce runtime (default: threads "
+             "when --workers is a count above 1, serial otherwise)",
     )
     parser.add_argument(
         "--workers", default=None,
@@ -100,9 +101,8 @@ def _resolve_execution(args: argparse.Namespace) -> tuple[int | None, list[str] 
         return int(spec), None
     except ValueError:
         raise InvalidParameterError(
-            f"--workers must be an integer count for backend "
-            f"{backend or 'serial'}; got {spec!r} (worker addresses "
-            f"require --backend distributed)"
+            f"--workers must be an integer count of pool workers; got {spec!r} "
+            f"(worker addresses require --backend distributed)"
         ) from None
 
 
@@ -184,7 +184,7 @@ def _solve(args: argparse.Namespace) -> int:
         result = solver.fit(points)
         rows = [{
             "algorithm": "MapReduceKCenter",
-            "backend": args.backend or "serial",
+            "backend": result.stats.backend,
             "radius": result.radius,
             "coreset_size": result.coreset_size,
             "peak_local_memory": result.stats.peak_local_memory,
@@ -198,7 +198,7 @@ def _solve(args: argparse.Namespace) -> int:
         result = solver.fit(points)
         rows = [{
             "algorithm": "MapReduceKCenterOutliers" + (" (randomized)" if args.randomized else ""),
-            "backend": args.backend or "serial",
+            "backend": result.stats.backend,
             "radius": result.radius,
             "radius_all_points": result.radius_all_points,
             "coreset_size": result.coreset_size,
@@ -294,7 +294,7 @@ def _solve_from_stream(args: argparse.Namespace) -> int:
         result = solver.fit_stream(stream, chunk_size=args.chunk_size, **storage_kwargs)
         row = {"algorithm": "MapReduceKCenterOutliers (streamed)"}
     row.update({
-        "backend": args.backend or "serial",
+        "backend": result.stats.backend,
         "chunk_size": args.chunk_size,
         "storage": result.stats.storage_tier,
         "spilled_bytes": result.stats.spilled_bytes,

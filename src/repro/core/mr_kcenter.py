@@ -58,7 +58,6 @@ from ..mapreduce.runtime import (
     JobStats,
     MapReduceRuntime,
     StreamedPartition,
-    identity_mapper,
     shuffle_point_stream,
 )
 from ..metricspace.distance import Metric, get_metric
@@ -84,7 +83,7 @@ class _AssignTask:
 
 def _coreset_reducer(
     partition_id,
-    values,
+    part: StreamedPartition,
     *,
     spec: CoresetSpec,
     metric: Metric,
@@ -96,7 +95,6 @@ def _coreset_reducer(
     Weights are the proxy counts when ``weighted`` and all 1 otherwise;
     the origin indices are global, read from the partition's index column.
     """
-    part: StreamedPartition = values[0]
     result = build_coreset(
         part.points.array,
         spec,
@@ -104,20 +102,17 @@ def _coreset_reducer(
         weighted=weighted,
         random_state=seeds[partition_id],
     )
-    coreset = dataclasses.replace(
+    return dataclasses.replace(
         result.coreset, origin_indices=part.indices.array[result.center_indices]
     )
-    return [(0, coreset)]
 
 
-def _gmm_reducer(_key, values, *, k: int, metric: Metric, seed: int):
+def _gmm_reducer(_key, union: WeightedPoints, *, k: int, metric: Metric, seed: int):
     """Run GMM on the coreset union (k-center's round-2 reducer; picklable)."""
-    union: WeightedPoints = values[0]
-    solution = gmm_select(union.points, k, metric, random_state=seed)
-    return [(0, (solution.centers, None))]
+    return gmm_select(union.points, k, metric, random_state=seed).centers, None
 
 
-def _assign_reducer(_partition_id, values, *, metric: Metric):
+def _assign_reducer(_partition_id, task: _AssignTask, *, metric: Metric):
     """Per-partition distance summary vs the final centers (round-3; picklable).
 
     Uses the blocked :meth:`~repro.metricspace.distance.Metric.nearest`
@@ -128,7 +123,6 @@ def _assign_reducer(_partition_id, values, *, metric: Metric):
     ``z + 1`` (every globally-large distance is large within its
     partition).
     """
-    task: _AssignTask = values[0]
     indices = task.partition.indices.array
     distances, _ = metric.nearest(task.partition.points.array, task.centers)
     keep = min(task.z + 1, distances.shape[0])
@@ -140,7 +134,7 @@ def _assign_reducer(_partition_id, values, *, metric: Metric):
     candidates = np.flatnonzero(distances >= np.partition(distances, cut)[cut])
     order = np.lexsort((indices[candidates], distances[candidates]))
     top = candidates[order[-keep:]]
-    return [(0, (distances[top], indices[top]))]
+    return distances[top], indices[top]
 
 
 class _MapReduceResult:
@@ -281,8 +275,8 @@ class _CoresetMapReduce:
     def _solve_reducer(self, rng: np.random.Generator):
         """The round-2 reducer, drawing any seed it needs from ``rng``.
 
-        It receives the coreset union and returns ``[(0, (positions,
-        solved))]``: the chosen union positions and one solver-specific
+        It receives the coreset union and returns ``(positions,
+        solved)``: the chosen union positions and one solver-specific
         value, handed on to :meth:`_result`.
         """
         raise NotImplementedError
@@ -386,10 +380,7 @@ class _CoresetMapReduce:
             solve_reducer = self._solve_reducer(rng)
             live = [(partition_id, part) for partition_id, part in enumerate(parts) if len(part)]
 
-            def run_round(pairs, reducer):
-                return runtime.execute_round(pairs, identity_mapper, reducer)
-
-            coresets = run_round(
+            coresets = runtime.execute_round(
                 live,
                 partial(
                     _coreset_reducer,
@@ -401,13 +392,13 @@ class _CoresetMapReduce:
             )
             # The union of the coresets passes through the coordinator
             # between rounds 1 and 2: charge it to the coordinator's peak.
-            union = WeightedPoints.concatenate([coreset for _, coreset in coresets])
+            union = WeightedPoints.concatenate(coresets)
             runtime.note_coordinator_items(len(union))
 
-            [(_, (positions, solved))] = run_round([(0, union)], solve_reducer)
+            [(positions, solved)] = runtime.execute_round([(0, union)], solve_reducer)
             centers = union.points[positions]
 
-            tops = run_round(
+            tops = runtime.execute_round(
                 [
                     (partition_id, _AssignTask(part, centers, self.z))
                     for partition_id, part in live
@@ -420,8 +411,8 @@ class _CoresetMapReduce:
         # (distance, index) reproduces the stable tie-break of
         # Clustering.outlier_indices, so the merge selects exactly the
         # outliers a global selection would (none when z = 0).
-        top_distances = np.concatenate([distances for _, (distances, _) in tops])
-        top_indices = np.concatenate([indices for _, (_, indices) in tops])
+        top_distances = np.concatenate([distances for distances, _ in tops])
+        top_indices = np.concatenate([indices for _, indices in tops])
         order = np.lexsort((top_indices, top_distances))
         return self._result(
             centers=centers,

@@ -54,7 +54,7 @@ __all__ = ["MROutliersResult", "MapReduceKCenterOutliers"]
 
 def _search_reducer(
     _key,
-    values,
+    union: WeightedPoints,
     *,
     k: int,
     z: int,
@@ -62,10 +62,9 @@ def _search_reducer(
     metric: Metric,
 ):
     """Radius search + OUTLIERSCLUSTER on the coreset union (round-2 reducer; picklable)."""
-    union: WeightedPoints = values[0]
     solver = OutliersClusterSolver(union, k, eps_hat=eps_hat, metric=metric)
     search = search_radius(solver, z)
-    return [(0, (search.solution.center_indices, search))]
+    return search.solution.center_indices, search
 
 
 @dataclass(frozen=True)

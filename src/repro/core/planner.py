@@ -37,7 +37,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import available_backends, available_storage_tiers
+from ..mapreduce.backends import available_backends, check_storage_tier
 from ..metricspace.doubling import doubling_dimension_estimate
 
 __all__ = ["MapReducePlan", "StreamingPlan", "plan_mapreduce", "plan_streaming"]
@@ -78,7 +78,7 @@ class MapReducePlan:
         otherwise ``min(ell, cpu_count)`` — more workers than round-1
         reducers can never help.
     partitions_per_worker:
-        Round-1 reduce groups each worker executes under the suggested
+        Round-1 reduce tasks each worker executes under the suggested
         sizing (``ceil(ell / suggested_workers)``); the round's parallel
         time scales with this factor, so a distributed plan shows
         directly what another worker daemon would buy.
@@ -308,11 +308,8 @@ def plan_mapreduce(
             storage = "disk"
         else:
             storage = "shared" if backend == "processes" else "memory"
-    elif storage not in available_storage_tiers():
-        raise InvalidParameterError(
-            f"unknown storage tier {storage!r}; available: "
-            f"{', '.join(available_storage_tiers())}"
-        )
+    else:
+        check_storage_tier(storage)
     predicted_spill = partition_tier_bytes if storage == "disk" else 0
 
     if backend == "serial":

@@ -5,7 +5,6 @@ from .backends import (
     ExecutorBackend,
     MemoryPartitionStore,
     PartitionBuffer,
-    PartitionStore,
     ProcessBackend,
     SerialBackend,
     SharedArray,
@@ -15,8 +14,8 @@ from .backends import (
     resolve_backend,
     resolve_storage,
 )
-from .cluster import DistributedBackend, LocalCluster, parse_worker_address
-from .worker import WorkerServer
+from .cluster import DistributedBackend, LocalCluster
+from .worker import WorkerServer, parse_worker_address
 from .partitioner import (
     ChunkRouter,
     draw_partition_seeds,
@@ -29,10 +28,9 @@ from .partitioner import (
 )
 from .runtime import (
     JobStats,
-    KeyValue,
     MapReduceRuntime,
     RoundStats,
-    StreamShuffleResult,
+    StreamedPartition,
     default_sizeof,
 )
 
@@ -42,17 +40,15 @@ __all__ = [
     "DistributedBackend",
     "ExecutorBackend",
     "JobStats",
-    "KeyValue",
     "LocalCluster",
     "MapReduceRuntime",
     "MemoryPartitionStore",
     "PartitionBuffer",
-    "PartitionStore",
     "ProcessBackend",
     "RoundStats",
     "SerialBackend",
     "SharedArray",
-    "StreamShuffleResult",
+    "StreamedPartition",
     "ThreadBackend",
     "WorkerServer",
     "available_backends",

@@ -1,9 +1,10 @@
 """Pluggable executor backends for the MapReduce runtime.
 
 The runtime in :mod:`repro.mapreduce.runtime` separates *what* a round
-computes (map, shuffle, memory accounting) from *how* the reduce phase is
-executed. The latter is delegated to an :class:`ExecutorBackend`, of
-which three implementations are provided:
+computes (its keyed tasks and their memory accounting) from *how* the
+tasks are executed. The latter is delegated to an
+:class:`ExecutorBackend`, of which three single-host implementations are
+provided here:
 
 * :class:`SerialBackend` (``"serial"``) — runs reducers one after the
   other in the calling process. Fully deterministic timing; the reference
@@ -16,12 +17,11 @@ which three implementations are provided:
 * :class:`ProcessBackend` (``"processes"``) — runs reducers on a
   :class:`~concurrent.futures.ProcessPoolExecutor`. Sidesteps the GIL
   entirely, so pure-Python reducer work also scales, at the price of
-  pickling the reducer callable and its per-group values for every task.
+  pickling the reducer callable and each task's value.
 
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
-live* while they are being assembled. That is the :class:`PartitionStore`
-protocol, with two implementations behind three tiers (see
-:func:`resolve_storage`):
+live* while they are being assembled: three tiers (see
+:func:`resolve_storage`) backed by two stores.
 
 * :class:`MemoryPartitionStore` (``"memory"``) — plain NumPy arrays in
   the coordinator's address space; the natural tier for the serial and
@@ -40,7 +40,7 @@ protocol, with two implementations behind three tiers (see
   disk.
 
 :class:`PartitionBuffer` validates and appends rows and delegates the
-actual storage to one of these tiers.
+actual storage to one of these stores.
 
 Reducer callables handed to :class:`ProcessBackend` must be picklable:
 module-level functions, or :func:`functools.partial` of module-level
@@ -55,7 +55,7 @@ import struct
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Hashable, Protocol, runtime_checkable
+from typing import Hashable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -67,28 +67,30 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "SharedArray",
-    "PartitionStore",
     "MemoryPartitionStore",
     "DiskPartitionStore",
     "PartitionBuffer",
     "available_backends",
     "available_storage_tiers",
+    "check_storage_tier",
     "resolve_backend",
     "resolve_storage",
     "set_spill_path_resolver",
 ]
 
 
-def _timed_reduce(reducer, key, values):
-    """Run one reducer call and measure the wall-clock time spent inside it.
+def _timed_reduce(reducer, key, value):
+    """Run ``reducer(key, value)`` and measure the wall-clock time spent inside it.
 
-    Module-level so that the process backend can submit it to a
+    The only timer on the MapReduce path. Module-level so that the
+    process backend can submit it to a
     :class:`~concurrent.futures.ProcessPoolExecutor`; the timing is taken
-    in the worker, so it measures reducer compute, not serialisation.
+    where the reducer runs, so it measures reducer compute, not
+    serialisation.
     """
     start = time.perf_counter()
-    produced = list(reducer(key, values))
-    return produced, time.perf_counter() - start
+    output = reducer(key, value)
+    return output, time.perf_counter() - start
 
 
 # -- shared arrays ---------------------------------------------------------------------
@@ -240,44 +242,6 @@ class SharedArray:
 # -- partition storage tiers -----------------------------------------------------------
 
 
-@runtime_checkable
-class PartitionStore(Protocol):
-    """Where one shuffle partition's rows live while being assembled.
-
-    A store receives pre-validated row blocks through :meth:`append`,
-    seals itself exactly once through :meth:`finalize` (returning a
-    read-only :class:`SharedArray` whose pickled form is a cheap handle,
-    never the row data — except for the in-process memory tier, which
-    pickles by value), and releases any storage that was never handed
-    off through :meth:`close` (idempotent, also safe after finalize).
-    """
-
-    #: Tier name: ``"memory"``, ``"shared"`` or ``"disk"``.
-    tier: str
-
-    @property
-    def n_rows(self) -> int:
-        """Rows appended so far."""
-        ...
-
-    @property
-    def spilled_bytes(self) -> int:
-        """Bytes this store wrote to disk (0 for the in-memory tiers)."""
-        ...
-
-    def append(self, rows: np.ndarray) -> None:
-        """Store a validated ``(m, d)`` (or ``(m,)``) block of rows."""
-        ...
-
-    def finalize(self) -> SharedArray:
-        """Seal the store and hand off its contents."""
-        ...
-
-    def close(self) -> None:
-        """Release storage that was never handed off. Idempotent."""
-        ...
-
-
 def _partition_shape(dimension: int | None, capacity) -> tuple:
     """Row-block shape: ``(capacity, d)``, or ``(capacity,)`` for 1-d buffers."""
     if dimension is None:
@@ -301,10 +265,9 @@ class MemoryPartitionStore:
         self._dimension = dimension
         self._dtype = dtype
         self._n = 0
-        self._storage = np.empty(self._shape(initial_capacity), dtype=dtype)
-
-    def _shape(self, capacity) -> tuple:
-        return _partition_shape(self._dimension, capacity)
+        self._storage = np.empty(
+            _partition_shape(dimension, initial_capacity), dtype=dtype
+        )
 
     @property
     def n_rows(self) -> int:
@@ -319,7 +282,10 @@ class MemoryPartitionStore:
         needed = self._n + m
         capacity = self._storage.shape[0]
         if needed > capacity:
-            grown = np.empty(self._shape(max(needed, 2 * capacity)), dtype=self._dtype)
+            grown = np.empty(
+                _partition_shape(self._dimension, max(needed, 2 * capacity)),
+                dtype=self._dtype,
+            )
             grown[: self._n] = self._storage[: self._n]
             self._storage = grown
         self._storage[self._n : needed] = rows
@@ -331,7 +297,7 @@ class MemoryPartitionStore:
         return SharedArray(view, by_value=True)
 
     def close(self) -> None:
-        self._storage = np.empty(self._shape(0), dtype=self._dtype)
+        self._storage = np.empty(_partition_shape(self._dimension, 0), dtype=self._dtype)
 
 
 _NPY_HEADER_SIZE = 128
@@ -388,9 +354,6 @@ class DiskPartitionStore:
             self.close()
             raise
 
-    def _shape(self, capacity) -> tuple:
-        return _partition_shape(self._dimension, capacity)
-
     @property
     def n_rows(self) -> int:
         return self._n
@@ -406,7 +369,7 @@ class DiskPartitionStore:
         self._written += data.nbytes
 
     def finalize(self) -> SharedArray:
-        shape = self._shape(self._n)
+        shape = _partition_shape(self._dimension, self._n)
         self._file.seek(0)
         self._file.write(_npy_header(shape, self._dtype))
         self._file.close()
@@ -434,6 +397,16 @@ def available_storage_tiers() -> tuple[str, ...]:
     return ("auto",) + _STORAGE_TIERS
 
 
+def check_storage_tier(storage: str) -> str:
+    """Return ``storage`` if it names a tier, else raise :class:`InvalidParameterError`."""
+    if storage not in available_storage_tiers():
+        raise InvalidParameterError(
+            f"unknown storage tier {storage!r}; available: "
+            f"{', '.join(available_storage_tiers())}"
+        )
+    return storage
+
+
 def resolve_storage(
     storage: str | None,
     *,
@@ -451,15 +424,8 @@ def resolve_storage(
     partition-tier footprint exceeds it (or is unknown, for unsized
     streams), in which case the shuffle spills to disk.
     """
-    if storage is None:
-        storage = "auto"
-    if storage in _STORAGE_TIERS:
+    if check_storage_tier("auto" if storage is None else storage) != "auto":
         return storage
-    if storage != "auto":
-        raise InvalidParameterError(
-            f"unknown storage tier {storage!r}; available: "
-            f"{', '.join(available_storage_tiers())}"
-        )
     if memory_budget_bytes is not None and (
         estimated_bytes is None or estimated_bytes > memory_budget_bytes
     ):
@@ -473,10 +439,10 @@ class PartitionBuffer:
     The out-of-core shuffle routes each incoming chunk's rows directly
     into per-partition buffers so the coordinator never assembles the
     full ``(n, d)`` matrix. The buffer validates and counts rows and
-    delegates storage to a :class:`PartitionStore`:
+    delegates storage to a store:
 
     * ``storage="memory"`` — a plain NumPy array in the current address
-      space (:class:`MemoryPartitionStore`);
+      space (:class:`MemoryPartitionStore`); ``"auto"`` resolves to it;
     * ``storage="shared"`` or ``"disk"`` — an ``.npy`` file in
       ``spill_dir`` (:class:`DiskPartitionStore`; the caller picks a
       RAM-backed directory for ``"shared"``).
@@ -503,16 +469,12 @@ class PartitionBuffer:
             raise InvalidParameterError("dimension must be >= 1 (or None for 1-d rows)")
         if initial_capacity < 1:
             raise InvalidParameterError("initial_capacity must be >= 1")
-        if storage not in _STORAGE_TIERS:
-            raise InvalidParameterError(
-                f"unknown storage tier {storage!r}; available: "
-                f"{', '.join(_STORAGE_TIERS)} (resolve 'auto' with resolve_storage())"
-            )
+        storage = resolve_storage(storage)
         self._dimension = None if dimension is None else int(dimension)
         self._dtype = np.dtype(dtype)
         self._finalized = False
         if storage == "memory":
-            self._store: PartitionStore = MemoryPartitionStore(
+            self._store = MemoryPartitionStore(
                 self._dimension, self._dtype, int(initial_capacity)
             )
         else:
@@ -523,9 +485,6 @@ class PartitionBuffer:
             self._store = DiskPartitionStore(
                 self._dimension, self._dtype, spill_dir, tier=storage
             )
-
-    def _shape(self, capacity) -> tuple:
-        return _partition_shape(self._dimension, capacity)
 
     @property
     def n_rows(self) -> int:
@@ -552,7 +511,8 @@ class PartitionBuffer:
             self._dimension is not None and rows.shape[1] != self._dimension
         ):
             raise InvalidParameterError(
-                f"rows must have shape {self._shape('m')}; got {rows.shape}"
+                f"rows must have shape {_partition_shape(self._dimension, 'm')}; "
+                f"got {rows.shape}"
             )
         if rows.shape[0] == 0:
             return
@@ -580,19 +540,20 @@ class PartitionBuffer:
 
 @runtime_checkable
 class ExecutorBackend(Protocol):
-    """How the reduce phase of a MapReduce round is executed.
+    """How the tasks of a MapReduce round are executed.
 
-    Implementations must return one ``(outputs, elapsed_seconds)`` entry
-    per reduce group, keyed like ``groups`` — the runtime relies on that
-    to keep accounting and output order identical across backends.
+    ``run_reducers`` calls ``reducer(key, value)`` once per ``(key,
+    value)`` task and returns one ``(output, elapsed_seconds)`` pair per
+    task, in task order — the runtime relies on that to keep accounting
+    and output order identical across backends.
     """
 
     name: str
 
     def run_reducers(
-        self, reducer, groups: dict[Hashable, list]
-    ) -> dict[Hashable, tuple[list, float]]:
-        """Execute ``reducer`` on every group and return outputs plus timings."""
+        self, reducer, tasks: Sequence[tuple[Hashable, object]]
+    ) -> list[tuple[object, float]]:
+        """Run ``reducer`` on every task and return outputs plus timings."""
         ...
 
     def close(self) -> None:
@@ -608,43 +569,33 @@ class SerialBackend:
     #: buffers can live on the plain heap.
     default_storage = "memory"
 
-    def run_reducers(self, reducer, groups):
-        return {key: _timed_reduce(reducer, key, values) for key, values in groups.items()}
+    def run_reducers(self, reducer, tasks):
+        return [_timed_reduce(reducer, key, value) for key, value in tasks]
 
     def close(self) -> None:
         pass
 
 
-class ThreadBackend:
-    """Reducers run concurrently on a thread pool (shared address space, GIL applies)."""
+class _PoolBackend:
+    """A backend whose reducers run on a lazily created executor pool."""
 
-    name = "threads"
-    default_storage = "memory"
+    _executor: type  # the concurrent.futures executor class
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
-        self._pool: ThreadPoolExecutor | None = None
+        self._pool = None
 
     @property
     def max_workers(self) -> int:
         return self._max_workers
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def run_reducers(self, reducer, tasks):
         if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        return self._pool
-
-    def run_reducers(self, reducer, groups):
-        if self._max_workers == 1 or len(groups) <= 1:
-            return {
-                key: _timed_reduce(reducer, key, values) for key, values in groups.items()
-            }
-        pool = self._ensure_pool()
-        futures = {
-            key: pool.submit(_timed_reduce, reducer, key, values)
-            for key, values in groups.items()
-        }
-        return {key: future.result() for key, future in futures.items()}
+            self._pool = self._executor(max_workers=self._max_workers)
+        futures = [
+            self._pool.submit(_timed_reduce, reducer, key, value) for key, value in tasks
+        ]
+        return [future.result() for future in futures]
 
     def close(self) -> None:
         if self._pool is not None:
@@ -652,12 +603,25 @@ class ThreadBackend:
             self._pool = None
 
 
-class ProcessBackend:
+class ThreadBackend(_PoolBackend):
+    """Reducers run concurrently on a thread pool (shared address space, GIL applies)."""
+
+    name = "threads"
+    default_storage = "memory"
+    _executor = ThreadPoolExecutor
+
+    def run_reducers(self, reducer, tasks):
+        if self._max_workers == 1 or len(tasks) <= 1:
+            return [_timed_reduce(reducer, key, value) for key, value in tasks]
+        return super().run_reducers(reducer, tasks)
+
+
+class ProcessBackend(_PoolBackend):
     """Reducers run on a process pool; partitions travel as file handles.
 
-    Reducer callables (and their group values) are pickled per task, so
-    they must be module-level functions or partials thereof. Partitions
-    on the file-backed tiers pickle as a path that the worker
+    The reducer callable and each task's value are pickled per task, so
+    reducers must be module-level functions or partials thereof.
+    Partitions on the file-backed tiers pickle as a path that the worker
     memory-maps, so a task carries no row data.
     """
 
@@ -665,32 +629,7 @@ class ProcessBackend:
     #: Reducers run in separate processes; partitions go to files under
     #: ``/dev/shm`` that tasks reference by path.
     default_storage = "shared"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self._max_workers = _check_workers(max_workers)
-        self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
-        return self._pool
-
-    def run_reducers(self, reducer, groups):
-        pool = self._ensure_pool()
-        futures = {
-            key: pool.submit(_timed_reduce, reducer, key, values)
-            for key, values in groups.items()
-        }
-        return {key: future.result() for key, future in futures.items()}
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+    _executor = ProcessPoolExecutor
 
 
 _BACKENDS = {
@@ -731,7 +670,9 @@ def resolve_backend(
     selects the distributed backend. Strings are looked up among
     :func:`available_backends`; for ``"threads"`` and ``"processes"`` a
     ``max_workers`` of ``None`` means one worker per CPU, and
-    ``"distributed"`` requires ``workers``.
+    ``"distributed"`` requires ``workers``. An instance is returned as
+    is; it is configured directly, so neither ``max_workers`` nor
+    ``workers`` may accompany it.
     """
     if backend is None and workers is not None:
         backend = _DISTRIBUTED
@@ -740,11 +681,12 @@ def resolve_backend(
             return ThreadBackend(max_workers)
         return SerialBackend()
     if not isinstance(backend, str):
-        if workers is not None:
-            raise InvalidParameterError(
-                "workers= addresses only apply to the 'distributed' backend name; "
-                "configure the backend instance directly instead"
-            )
+        for knob, value in (("workers", workers), ("max_workers", max_workers)):
+            if value is not None:
+                raise InvalidParameterError(
+                    f"{knob}= only applies to a backend named by string; "
+                    "configure the backend instance directly instead"
+                )
         if isinstance(backend, ExecutorBackend):
             return backend
         raise InvalidParameterError(

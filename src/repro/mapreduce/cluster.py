@@ -2,7 +2,7 @@
 
 :class:`DistributedBackend` implements the
 :class:`~repro.mapreduce.backends.ExecutorBackend` protocol over TCP: it
-ships each reduce group to one of a fixed set of worker daemons (see
+ships each ``(key, value)`` task to one of a fixed set of worker daemons (see
 :mod:`repro.mapreduce.worker` for the daemon and the wire protocol),
 runs the reducer remotely, and collects the pickled results. It slots
 into :class:`~repro.mapreduce.runtime.MapReduceRuntime` like any other
@@ -12,8 +12,8 @@ because all randomness is drawn in the coordinator before dispatch.
 
 Placement and payloads
 ----------------------
-Reduce groups are placed round-robin: the group at enumeration position
-``i`` (for the shuffle rounds, exactly the partition index) goes to
+Tasks are placed round-robin: the task at position ``i`` of the round
+(for the shuffle rounds, exactly the partition index) goes to
 worker ``i mod W``. Placement is therefore a pure function of the
 partition index and the worker list, matching the pure-function routing
 of the shuffle itself. The reducer callable is shipped once per round
@@ -26,14 +26,12 @@ per worker, not once per task. Partition payloads travel by tier:
   pushed once per worker as raw ``.npy`` bytes in a PUT frame, and
   re-opened worker-side as read-only memmaps — no row data is pickled,
   and a file already pushed to a worker is never pushed twice.
-  ``push_spills=False`` skips the push for same-host clusters whose
-  workers can open the coordinator's files directly.
 
 Failure model
 -------------
 A transport failure — refused connection, reset, EOF or truncated frame
 mid-result — marks the worker dead for the rest of the job and requeues
-its unfinished groups round-robin onto the surviving workers (reducers
+its unfinished tasks round-robin onto the surviving workers (reducers
 are pure, so a retry is safe and bit-identical). When no worker
 survives, :class:`~repro.exceptions.WorkerUnavailableError` reports the
 last failure seen per worker. An exception raised *by the reducer* is
@@ -71,6 +69,7 @@ from .worker import (
     OP_RESULT,
     OP_TASK,
     WorkerServer,
+    parse_worker_address,
     recv_frame,
     send_frame,
 )
@@ -78,29 +77,7 @@ from .worker import (
 __all__ = [
     "DistributedBackend",
     "LocalCluster",
-    "parse_worker_address",
 ]
-
-
-def parse_worker_address(spec) -> tuple[str, int]:
-    """Parse a worker address: ``"host:port"`` or a ``(host, port)`` pair."""
-    if isinstance(spec, tuple) and len(spec) == 2:
-        host, port = spec
-    else:
-        host, sep, port = str(spec).rpartition(":")
-        if not sep or not host:
-            raise InvalidParameterError(
-                f"worker address must look like HOST:PORT; got {spec!r}"
-            )
-    try:
-        port = int(port)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"worker address must look like HOST:PORT; got {spec!r}"
-        ) from None
-    if not 1 <= port <= 65535:
-        raise InvalidParameterError(f"worker port must be in [1, 65535]; got {port}")
-    return str(host), port
 
 
 class _SpillScanPickler(pickle.Pickler):
@@ -141,6 +118,10 @@ class _WorkerLink:
 
     def __init__(self, spec) -> None:
         self.host, self.port = parse_worker_address(spec)
+        if self.port == 0:
+            raise InvalidParameterError(
+                f"a worker address needs the daemon's bound port, not 0; got {spec!r}"
+            )
         self.label = f"{self.host}:{self.port}"
         self.sock: socket.socket | None = None
         self.alive = True
@@ -176,11 +157,6 @@ class DistributedBackend:
         cluster or the printed listen addresses of ``repro worker``
         daemons. At least one is required; the list order defines the
         round-robin placement.
-    push_spills:
-        Push partition files to workers as raw bytes (default).
-        ``False`` lets workers open the coordinator's files by path —
-        only correct when every worker shares the coordinator's
-        filesystem.
     connect_timeout:
         Seconds to wait for a TCP connect before declaring a worker
         unreachable (the job then proceeds on the surviving workers).
@@ -202,7 +178,6 @@ class DistributedBackend:
         self,
         workers: Sequence,
         *,
-        push_spills: bool = True,
         connect_timeout: float = 5.0,
     ) -> None:
         links = [_WorkerLink(spec) for spec in workers]
@@ -213,7 +188,6 @@ class DistributedBackend:
         if connect_timeout <= 0:
             raise InvalidParameterError("connect_timeout must be positive")
         self._links = links
-        self._push_spills = bool(push_spills)
         self._connect_timeout = float(connect_timeout)
         self._lock = threading.Lock()
         self._last_assignments: dict[Hashable, list[str]] = {}
@@ -242,7 +216,7 @@ class DistributedBackend:
 
         Returns ``(assignments, bytes_shipped)`` for the most recent
         :meth:`run_reducers` call and resets the per-round counters:
-        ``assignments`` maps each reduce key to the worker labels that
+        ``assignments`` maps each task key to the worker labels that
         were attempted in order (more than one entry records a retry
         after a worker failure).
         """
@@ -275,14 +249,14 @@ class DistributedBackend:
 
     # -- the ExecutorBackend protocol --------------------------------------------------
 
-    def run_reducers(self, reducer, groups):
-        """Execute ``reducer`` on every group across the workers; see the module docs."""
-        keys = list(groups)
+    def run_reducers(self, reducer, tasks):
+        """Run ``reducer`` on every ``(key, value)`` task across the workers; see the module docs."""
+        tasks = list(tasks)
         reducer_payload = pickle.dumps(reducer, protocol=pickle.HIGHEST_PROTOCOL)
 
         round_marker = object()
-        assignments: dict[Hashable, list[str]] = {key: [] for key in keys}
-        results: dict[Hashable, tuple[list, float]] = {}
+        assignments: dict[Hashable, list[str]] = {key: [] for key, _ in tasks}
+        results: dict[int, tuple[object, float]] = {}
         task_errors: list[WorkerTaskError] = []
         abort = threading.Event()
         shipped = [0]  # single cell, guarded by self._lock
@@ -294,8 +268,7 @@ class DistributedBackend:
                 f"--- remote traceback ---\n{remote_traceback}"
             )
 
-        def drain(link: _WorkerLink, assigned: list[tuple[int, Hashable]],
-                  failed: list[tuple[int, Hashable]]) -> None:
+        def drain(link: _WorkerLink, assigned: list[int], failed: list[int]) -> None:
             sent = 0
 
             def expect_ok(opcode: bytes, response: bytes, context: str) -> bool:
@@ -312,10 +285,11 @@ class DistributedBackend:
                 raise ProtocolViolation(opcode)
 
             try:
-                for position, (index, key) in enumerate(assigned):
+                for position, index in enumerate(assigned):
                     if abort.is_set():
                         failed.extend(assigned[position:])
                         return
+                    key = tasks[index][0]
                     assignments[key].append(link.label)
                     if link.sock is None:
                         link.sock = self._connect(link)
@@ -331,29 +305,27 @@ class DistributedBackend:
                     # so the coordinator holds at most one serialized payload
                     # per worker in flight — a retry re-pickles instead of the
                     # round keeping a full serialized copy of every partition.
-                    payload, spill_paths = _dumps_scanning_spills((key, groups[key]))
-                    if self._push_spills:
-                        for path in spill_paths:
-                            if path in link.pushed_spills:
-                                continue
-                            with open(path, "rb") as handle:
-                                data = handle.read()
-                            put_payload = pickle.dumps(
-                                (path, data), protocol=pickle.HIGHEST_PROTOCOL
-                            )
-                            opcode, response = self._request(link, OP_PUT, put_payload)
-                            if not expect_ok(
-                                opcode, response, f"storing pushed spill file {path!r}"
-                            ):
-                                failed.extend(assigned[position:])
-                                return
-                            link.pushed_spills.add(path)
-                            sent += len(put_payload)
+                    payload, spill_paths = _dumps_scanning_spills(tasks[index])
+                    for path in spill_paths:
+                        if path in link.pushed_spills:
+                            continue
+                        with open(path, "rb") as handle:
+                            data = handle.read()
+                        put_payload = pickle.dumps(
+                            (path, data), protocol=pickle.HIGHEST_PROTOCOL
+                        )
+                        opcode, response = self._request(link, OP_PUT, put_payload)
+                        if not expect_ok(
+                            opcode, response, f"storing pushed spill file {path!r}"
+                        ):
+                            failed.extend(assigned[position:])
+                            return
+                        link.pushed_spills.add(path)
+                        sent += len(put_payload)
                     opcode, response = self._request(link, OP_TASK, payload)
                     sent += len(payload)
                     if opcode == OP_RESULT:
-                        outputs, elapsed = pickle.loads(response)
-                        results[key] = (outputs, elapsed)
+                        results[index] = pickle.loads(response)
                     elif opcode == OP_ERROR:
                         task_errors.append(
                             remote_error(response, f"reducer for key {key!r}", link)
@@ -366,9 +338,7 @@ class DistributedBackend:
             except (OSError, EOFError, pickle.PickleError, ProtocolViolation) as exc:
                 self._mark_dead(link, exc)
                 # The task in flight and everything after it must be retried.
-                failed.extend(
-                    (index, key) for index, key in assigned if key not in results
-                )
+                failed.extend(index for index in assigned if index not in results)
             except Exception as exc:
                 # Anything else (e.g. a RESULT that unpickles into a class the
                 # coordinator cannot resolve) is deterministic: surface it
@@ -382,7 +352,7 @@ class DistributedBackend:
                 with self._lock:
                     shipped[0] += sent
 
-        pending: list[tuple[int, Hashable]] = list(enumerate(keys))
+        pending = list(range(len(tasks)))
         while pending and not abort.is_set():
             alive = [link for link in self._links if link.alive]
             if not alive:
@@ -394,23 +364,16 @@ class DistributedBackend:
                     f"no surviving worker to run {len(pending)} remaining reduce "
                     f"task(s) ({details})"
                 )
-            queues: dict[int, list[tuple[int, Hashable]]] = {
-                id(link): [] for link in alive
-            }
-            for index, key in pending:
-                link = alive[index % len(alive)]
-                queues[id(link)].append((index, key))
-            failures: dict[int, list[tuple[int, Hashable]]] = {
-                id(link): [] for link in alive
-            }
+            queues: list[list[int]] = [[] for _ in alive]
+            for index in pending:
+                queues[index % len(alive)].append(index)
+            failures: list[list[int]] = [[] for _ in alive]
             threads = []
-            for link in alive:
-                assigned = queues[id(link)]
+            for link, assigned, failed in zip(alive, queues, failures):
                 if not assigned:
                     continue
                 thread = threading.Thread(
-                    target=drain, args=(link, assigned, failures[id(link)]),
-                    daemon=True,
+                    target=drain, args=(link, assigned, failed), daemon=True
                 )
                 threads.append(thread)
                 thread.start()
@@ -419,15 +382,13 @@ class DistributedBackend:
             if task_errors:
                 raise task_errors[0]
             pending = sorted(
-                {(index, key) for per_link in failures.values()
-                 for index, key in per_link if key not in results},
-                key=lambda task: task[0],
+                {index for failed in failures for index in failed if index not in results}
             )
 
         self._last_assignments = assignments
         self._last_bytes = shipped[0]
         self._bytes_shipped += shipped[0]
-        return {key: results[key] for key in keys}
+        return [results[index] for index in range(len(tasks))]
 
     def close(self) -> None:
         """End the worker connections (the daemons keep serving). Idempotent."""

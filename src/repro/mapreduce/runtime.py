@@ -3,18 +3,24 @@
 The paper's algorithms are 2-round MapReduce computations; what their
 analysis actually constrains is (a) the number of rounds, (b) the local
 memory ``M_L`` any single reducer needs, and (c) the aggregate memory
-``M_A`` across reducers. This module provides a small, deterministic
-MapReduce engine that executes arbitrary mapper/reducer functions while
+``M_A`` across reducers. This module runs such computations while
 *faithfully tracking those three quantities*, plus per-reducer wall-clock
 time so that the parallel running time of a round can be reported as the
 maximum reducer time (the quantity a real cluster would exhibit).
 
 Execution model
 ---------------
-The map and shuffle phases always run in the coordinating process, as
-does all accounting: reduce groups are formed, sized with ``sizeof``, and
-checked against the local memory limit *before* any reducer runs. Only
-then is the reduce phase handed to an
+The map phase of the paper's algorithms is a partitioning of the input,
+and here it is exactly that: :meth:`MapReduceRuntime.shuffle_stream`
+routes the input through a
+:class:`~repro.mapreduce.partitioner.ChunkRouter` into per-partition
+storage (see "Out-of-core shuffle" below). Every round after it is a
+list of keyed tasks: :meth:`MapReduceRuntime.execute_round` takes
+``(key, value)`` pairs with distinct keys and calls ``reducer(key,
+value)`` once per task. The accounting runs in the coordinating process:
+each task's value is sized with :func:`default_sizeof` and checked
+against the local memory limit *before* any reducer runs. Only then are
+the tasks handed to an
 :class:`~repro.mapreduce.backends.ExecutorBackend`:
 
 * ``backend="serial"`` — reducers run one after the other in the calling
@@ -26,7 +32,7 @@ then is the reduce phase handed to an
   serialised. The default when ``max_workers`` > 1, matching this
   engine's historical behavior.
 * ``backend="processes"`` — reducers run on a process pool. Each task
-  pickles the reducer callable and its group values, so reducers must be
+  pickles the reducer callable and the task's value, so reducers must be
   module-level functions (or partials of them); in exchange the GIL no
   longer serialises pure-Python reducer work. Shuffled partitions live
   in files under ``/dev/shm`` (the ``"shared"`` storage tier), so tasks
@@ -34,21 +40,23 @@ then is the reduce phase handed to an
 * ``backend="distributed"`` — reducers run on remote worker daemons over
   TCP (see the "Distributed backend" section below).
 
+:attr:`JobStats.backend` records the name of the backend that ran.
+
 Distributed backend
 -------------------
 ``backend="distributed"`` plus ``workers=["host:port", ...]`` hands the
-reduce phase to a set of worker daemons, each started with ``repro
-worker --listen HOST:PORT`` (or ``python -m repro.mapreduce.worker``) —
-the first backend that scales past a single machine. The coordinator
-speaks a length-prefixed TCP protocol (a 1-byte opcode plus an 8-byte
+tasks to a set of worker daemons, each started with ``repro worker
+--listen HOST:PORT`` (or ``python -m repro.mapreduce.worker``) — the
+first backend that scales past a single machine. The coordinator speaks
+a length-prefixed TCP protocol (a 1-byte opcode plus an 8-byte
 big-endian payload length per frame; the opcodes are documented in
 :mod:`repro.mapreduce.worker`): per round it ships the pickled reducer
-once per worker, then one TASK frame per reduce group, and collects the
-pickled ``(outputs, elapsed)`` results. Placement is round-robin — the
-group at position ``i`` (the partition index, for the shuffle rounds)
-goes to worker ``i mod W`` — a pure function of the partition index, so
-which worker computes what is as deterministic as the shuffle routing
-itself.
+once per worker, then one TASK frame per ``(key, value)`` task, and
+collects the pickled ``(output, elapsed)`` results. Placement is
+round-robin — the task at position ``i`` (the partition index, for the
+shuffle rounds) goes to worker ``i mod W`` — a pure function of the
+partition index, so which worker computes what is as deterministic as
+the shuffle routing itself.
 
 Partition payloads travel by storage tier: memory-tier partitions (the
 default under this backend) pickle their rows by value inside the task;
@@ -56,13 +64,13 @@ file-backed partitions (``"shared"`` and ``"disk"``) are pushed once per
 worker as raw ``.npy`` bytes and re-opened remotely as read-only
 memmaps, so a file is shipped at most once per worker however many
 rounds reference it. A worker that dies mid-job (refused connection,
-reset, truncated frame) has its unfinished groups requeued round-robin
+reset, truncated frame) has its unfinished tasks requeued round-robin
 onto the surviving workers — reducers are pure, so the retried job is
 bit-identical — and :attr:`JobStats.worker_assignments` records every
 attempt while :attr:`JobStats.bytes_shipped` totals the payload bytes
-that crossed the wire. All randomness is drawn in the coordinator before dispatch,
-so the distributed drivers agree bit-for-bit with the serial reference;
-the equivalence matrix in
+that crossed the wire. All randomness is drawn in the coordinator before
+dispatch, so the distributed drivers agree bit-for-bit with the serial
+reference; the equivalence matrix in
 ``tests/properties/test_property_distributed_equivalence.py`` enforces
 this against an in-process loopback
 :class:`~repro.mapreduce.cluster.LocalCluster`.
@@ -77,7 +85,7 @@ file-backed partition handles.
 Out-of-core shuffle
 -------------------
 The paper's analysis bounds the *reducers'* memory at ``O(n / ell)``
-per partition — but a map/shuffle that first materialises the full
+per partition — but a shuffle that first materialises the full
 ``(n, d)`` matrix in the coordinator silently re-introduces an ``O(n)``
 coordinator bound, making the coordinator (not the reducers) the limit
 on dataset size. :meth:`MapReduceRuntime.shuffle_stream` avoids that
@@ -86,9 +94,8 @@ bound: it consumes the input as a sequence of ``(m, d)`` chunks (from a
 or a memory-mapped array), routes each chunk's rows directly into
 per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
 storage via a :class:`~repro.mapreduce.partitioner.ChunkRouter`, and
-returns the sealed partitions as
-:class:`~repro.mapreduce.backends.SharedArray` handles. The
-coordinator's own working set during the shuffle is ``O(chunk)``:
+returns the sealed partitions as :class:`StreamedPartition` handles.
+The coordinator's own working set during the shuffle is ``O(chunk)``:
 routing metadata plus one chunk in flight.
 
 Both k-center drivers run every job this way, through the one 3-round
@@ -97,9 +104,9 @@ skeleton they share (``_CoresetMapReduce`` in :mod:`repro.core.mr_kcenter`;
 and calls ``fit_stream``): per-partition coresets, the solve on their
 union, and an assignment round that scores each partition against the
 final centers (the paper counts the first two). Their phase times are
-the rounds' reducer times recorded here, the only timer on that path. The routers are pure
-functions of the global point index (the random split uses a seeded
-counter-based hash, see
+the rounds' reducer times recorded here, the only timer on that path.
+The routers are pure functions of the global point index (the random
+split uses a seeded counter-based hash, see
 :func:`~repro.mapreduce.partitioner.hashed_assignment`), so every point
 lands in exactly the partition the ``split_*`` functions assign it;
 the adversarial split, which is not such a function, is computed up
@@ -111,10 +118,8 @@ array. Reducers hold ``O(n/ell)``, the coordinator holds
 Storage tiers
 -------------
 *Where the sealed partitions live* is a knob orthogonal to the executor
-backend: ``storage=`` on the runtime (and on
-:meth:`MapReduceRuntime.shuffle_stream`, both drivers' ``fit_stream``,
-and the CLI ``mr-*`` commands) selects a
-:class:`~repro.mapreduce.backends.PartitionStore` tier:
+backend: ``storage=`` on the runtime (and on both drivers' ``fit_stream``
+and the CLI ``mr-*`` commands, which pass it on) selects the tier:
 
 * ``"memory"`` — plain per-partition arrays in the coordinator's
   address space; the natural tier for the serial and thread backends.
@@ -140,18 +145,11 @@ record which tier ran and how many bytes went to disk, and
 :func:`repro.core.planner.plan_mapreduce` predicts the per-tier
 footprints up front.
 
-Accounting is backend-agnostic by construction: every backend returns the
-same per-group outputs and in-reducer timings, the runtime collects them
-in deterministic (insertion) key order, and the recorded
-:class:`RoundStats` are therefore identical across backends modulo the
-timing values themselves. The cross-backend equivalence suite in
-``tests/mapreduce/test_backends.py`` enforces this.
-
-The engine is intentionally general (key-value pairs, one mapper and one
-reducer per round) so that other algorithms can be expressed on it, but
-the k-center drivers in :mod:`repro.core.mr_kcenter` and
-:mod:`repro.core.mr_outliers` only need the shuffle-then-three-rounds
-pattern above, which their shared skeleton runs once for both.
+Accounting is backend-agnostic by construction: every backend returns
+one output and one in-reducer timing per task, in task order, and the
+recorded :class:`RoundStats` are therefore identical across backends
+modulo the timing values themselves. The cross-backend equivalence suite
+in ``tests/mapreduce/test_backends.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -159,7 +157,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -175,21 +172,18 @@ from .backends import (
     ExecutorBackend,
     PartitionBuffer,
     SharedArray,
-    available_storage_tiers,
+    check_storage_tier,
     resolve_backend,
     resolve_storage,
 )
 from .partitioner import ChunkRouter, split_adversarial
 
 __all__ = [
-    "KeyValue",
     "RoundStats",
     "JobStats",
-    "StreamShuffleResult",
     "StreamedPartition",
     "MapReduceRuntime",
     "default_sizeof",
-    "identity_mapper",
     "shuffle_point_stream",
 ]
 
@@ -197,15 +191,11 @@ __all__ = [
 _SHM_ROOT = "/dev/shm"
 """RAM-backed directory the ``"shared"`` tier's runtime-owned directory lives in."""
 
-KeyValue = tuple[Hashable, object]
-"""A key-value pair as consumed and produced by mappers and reducers."""
-
-Mapper = Callable[[Hashable, object], Iterable[KeyValue]]
-Reducer = Callable[[Hashable, list], Iterable[KeyValue]]
+Reducer = Callable[[Hashable, object], object]
 
 
 def default_sizeof(value: object) -> int:
-    """Default memory accounting: NumPy arrays count rows, sized objects count ``len``, else 1.
+    """Memory accounting: NumPy arrays count rows, sized objects count ``len``, else 1.
 
     The unit is "points" (items), matching the paper's memory bounds which
     are stated in numbers of stored points rather than bytes.
@@ -226,22 +216,21 @@ class RoundStats:
     ----------
     round_index:
         0-based index of the round within the job.
-    n_reducers:
-        Number of distinct keys (reduce groups) in the round.
     reducer_input_sizes:
         Memory (in items, per :func:`default_sizeof`) received by each
-        reducer, keyed by reduce key.
+        reducer, keyed by task key.
     reducer_times:
-        Wall-clock seconds spent inside each reducer.
-    map_time:
-        Wall-clock seconds spent in the map + shuffle phase.
+        Wall-clock seconds spent inside each reducer, keyed by task key.
     """
 
     round_index: int
-    n_reducers: int = 0
     reducer_input_sizes: dict = field(default_factory=dict)
     reducer_times: dict = field(default_factory=dict)
-    map_time: float = 0.0
+
+    @property
+    def n_reducers(self) -> int:
+        """Number of tasks (reducer calls) in the round."""
+        return len(self.reducer_input_sizes)
 
     @property
     def max_local_memory(self) -> int:
@@ -269,6 +258,10 @@ class JobStats:
     """Aggregated accounting over all rounds executed by a runtime."""
 
     rounds: list[RoundStats] = field(default_factory=list)
+    #: Name of the executor backend that ran the rounds (``"serial"``,
+    #: ``"threads"``, ``"processes"`` or ``"distributed"``); ``None``
+    #: when no runtime recorded one.
+    backend: str | None = None
     #: Largest working set (in points) the *coordinator* itself held at
     #: any moment: the larger of one routing chunk of the shuffle and
     #: the coreset union that passes through it between rounds 1 and 2,
@@ -283,9 +276,9 @@ class JobStats:
     #: ``"disk"`` tier ran).
     spilled_bytes: int = 0
     #: One dict per round executed on the distributed backend, mapping
-    #: each reduce key to the worker addresses attempted in order (a
-    #: list longer than one records a retry after a worker failure).
-    #: Empty for the single-host backends.
+    #: each task key to the worker addresses attempted in order (a list
+    #: longer than one records a retry after a worker failure). Empty
+    #: for the single-host backends.
     worker_assignments: list = field(default_factory=list)
     #: Total payload bytes shipped to distributed workers (reducers,
     #: pushed spill files and task payloads); 0 for single-host backends.
@@ -318,13 +311,13 @@ class JobStats:
 
     @property
     def parallel_time(self) -> float:
-        """Parallel time estimate: per round, map time plus slowest reducer."""
-        return sum(r.map_time + r.parallel_time for r in self.rounds)
+        """Parallel time estimate: the slowest reducer of each round, summed."""
+        return sum(r.parallel_time for r in self.rounds)
 
     @property
     def sequential_time(self) -> float:
-        """Time the job would take with a single processor."""
-        return sum(r.map_time + r.sequential_time for r in self.rounds)
+        """Time the job's reducers would take on a single processor."""
+        return sum(r.sequential_time for r in self.rounds)
 
 
 @dataclass(frozen=True)
@@ -344,49 +337,8 @@ class StreamedPartition:
         return len(self.points)
 
 
-def identity_mapper(key, value):
-    """Pass pre-keyed pairs straight into the shuffle (streamed rounds)."""
-    yield (key, value)
-
-
-@dataclass(frozen=True)
-class StreamShuffleResult:
-    """Outcome of an out-of-core map/shuffle pass.
-
-    Attributes
-    ----------
-    parts:
-        One sealed ``(n_i, d)`` :class:`SharedArray` per partition
-        (possibly zero-row for partitions the routing left empty).
-    index_parts:
-        Matching ``(n_i,)`` arrays of global stream indices, so reducers
-        can report solutions in terms of the original data. ``None`` when
-        the shuffle was run with ``with_indices=False``.
-    n_points:
-        Total number of stream points routed.
-    dimension:
-        Point dimensionality observed on the stream.
-    chunk_peak:
-        Largest single chunk (in points) the coordinator held in flight.
-    storage_tier:
-        Partition-storage tier the shuffle used
-        (``"memory"``/``"shared"``/``"disk"``).
-    spilled_bytes:
-        Bytes of partition data written to spill files (0 unless the
-        ``"disk"`` tier ran).
-    """
-
-    parts: list
-    index_parts: list | None
-    n_points: int
-    dimension: int
-    chunk_peak: int
-    storage_tier: str = "memory"
-    spilled_bytes: int = 0
-
-
 class MapReduceRuntime:
-    """MapReduce engine with memory accounting and a pluggable reduce executor.
+    """MapReduce engine with memory accounting and a pluggable task executor.
 
     Parameters
     ----------
@@ -395,13 +347,11 @@ class MapReduceRuntime:
         receive; exceeding it raises
         :class:`~repro.exceptions.MemoryBudgetExceededError`. ``None``
         disables enforcement (accounting still happens).
-    sizeof:
-        Item-size function used for memory accounting; defaults to
-        :func:`default_sizeof`.
     max_workers:
         Worker count for the pooled backends. ``None`` means 1 for the
         default (backend-less) configuration and one worker per CPU when
-        an explicit ``"threads"``/``"processes"`` backend is named.
+        an explicit ``"threads"``/``"processes"`` backend is named. Not
+        accepted together with a backend instance.
     backend:
         ``"serial"``, ``"threads"``, ``"processes"``, ``"distributed"``,
         an :class:`~repro.mapreduce.backends.ExecutorBackend` instance,
@@ -439,21 +389,20 @@ class MapReduceRuntime:
     Examples
     --------
     >>> runtime = MapReduceRuntime()
-    >>> pairs = [(None, [1, 2, 3, 4])]
-    >>> def mapper(key, values):
-    ...     for v in values:
-    ...         yield (v % 2, v)
-    >>> def reducer(key, values):
-    ...     yield (key, sum(values))
-    >>> sorted(runtime.execute_round(pairs, mapper, reducer))
-    [(0, 6), (1, 4)]
+    >>> def reducer(key, value):
+    ...     return key * sum(value)
+    >>> runtime.execute_round([(1, [1, 2]), (10, [3, 4])], reducer)
+    [3, 70]
+    >>> runtime.stats.rounds[0].reducer_input_sizes
+    {1: 2, 10: 2}
+    >>> runtime.stats.backend
+    'serial'
     """
 
     def __init__(
         self,
         *,
         local_memory_limit: int | None = None,
-        sizeof: Callable[[object], int] = default_sizeof,
         max_workers: int | None = None,
         backend: str | ExecutorBackend | None = None,
         workers=None,
@@ -465,32 +414,28 @@ class MapReduceRuntime:
             raise InvalidParameterError("local_memory_limit must be >= 1 or None")
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be >= 1")
-        if storage not in available_storage_tiers():
-            raise InvalidParameterError(
-                f"unknown storage tier {storage!r}; available: "
-                f"{', '.join(available_storage_tiers())}"
-            )
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise InvalidParameterError("memory_budget_bytes must be >= 1 or None")
+        # Validated before any chunk is consumed: a typo'd tier must not
+        # cost a single-pass stream its first chunk.
+        self._storage = check_storage_tier(storage)
         self._local_memory_limit = local_memory_limit
-        self._sizeof = sizeof
         # Backends named by string (or defaulted) are created, and therefore
         # owned and closed, by this runtime; instances passed in belong to
         # the caller, whose pool must survive (and be reusable after) close().
         self._owns_backend = backend is None or isinstance(backend, str)
         self._backend = resolve_backend(backend, max_workers=max_workers, workers=workers)
-        self._storage = storage
         self._spill_dir = spill_dir
         self._own_dirs: dict[str, str] = {}
         self._memory_budget_bytes = memory_budget_bytes
         self._sealed: list[SharedArray] = []
-        self._stats = JobStats()
+        self._stats = JobStats(backend=self._backend.name)
 
     # -- lifecycle ---------------------------------------------------------------------
 
     @property
     def backend(self) -> ExecutorBackend:
-        """The executor backend running this runtime's reduce phases."""
+        """The executor backend running this runtime's rounds."""
         return self._backend
 
     def note_coordinator_items(self, items: int) -> None:
@@ -499,7 +444,7 @@ class MapReduceRuntime:
             self._stats.coordinator_peak_items, int(items)
         )
 
-    def _tier_dir(self, tier: str, override: str | None = None) -> str | None:
+    def _tier_dir(self, tier: str) -> str | None:
         """The directory a file-backed tier's partitions go to (created on first use).
 
         ``"disk"`` uses the caller's ``spill_dir`` when one is given;
@@ -508,10 +453,9 @@ class MapReduceRuntime:
         """
         if tier == "memory":
             return None
-        caller_dir = override if override is not None else self._spill_dir
-        if tier == "disk" and caller_dir is not None:
-            os.makedirs(caller_dir, exist_ok=True)
-            return caller_dir
+        if tier == "disk" and self._spill_dir is not None:
+            os.makedirs(self._spill_dir, exist_ok=True)
+            return self._spill_dir
         if tier not in self._own_dirs:
             if tier == "shared":
                 root = _SHM_ROOT if os.path.isdir(_SHM_ROOT) else None
@@ -525,55 +469,40 @@ class MapReduceRuntime:
         chunks: Iterable[np.ndarray],
         router: ChunkRouter,
         *,
-        with_indices: bool = True,
-        dtype=np.float64,
-        partition_size_hint: int | None = None,
         max_chunk_rows: int | None = None,
-        storage: str | None = None,
-        spill_dir: str | None = None,
-    ) -> StreamShuffleResult:
-        """Route a chunked point stream into per-partition buffers (out of core).
+    ) -> list[StreamedPartition]:
+        """Route a chunked point stream into per-partition storage (out of core).
 
         ``chunks`` yields ``(m, d)`` arrays in stream order (e.g. from
         :meth:`repro.streaming.stream.PointStream.iterate_batches`);
         ``router`` decides each row's partition from its global stream
-        index alone. Rows are scattered into per-partition
-        :class:`~repro.mapreduce.backends.PartitionBuffer` storage on
-        the tier ``storage`` selects (``None`` defers to the runtime's
-        ``storage=`` default; see the "Storage tiers" section of the
-        module docstring) — so the coordinator never assembles the full
-        ``(n, d)`` matrix; its working set is one chunk plus routing
-        metadata, recorded in :attr:`JobStats.coordinator_peak_items`.
-        The tier that ran and the bytes it spilled are recorded in
-        :attr:`JobStats.storage_tier` / :attr:`JobStats.spilled_bytes`.
+        index alone. Rows and their global indices are scattered into
+        per-partition :class:`~repro.mapreduce.backends.PartitionBuffer`
+        storage on the runtime's storage tier (see the "Storage tiers"
+        section of the module docstring) — so the coordinator never
+        assembles the full ``(n, d)`` matrix; its working set is one
+        chunk plus routing metadata, recorded in
+        :attr:`JobStats.coordinator_peak_items`. The tier that ran and
+        the bytes it spilled are recorded in :attr:`JobStats.storage_tier`
+        / :attr:`JobStats.spilled_bytes`.
 
-        The sealed partitions are registered with the runtime and
-        released by :meth:`close`; on a mid-stream failure every buffer
-        allocated so far is closed and its file unlinked before the
-        exception propagates. ``max_chunk_rows``
-        re-splits oversized incoming chunks (sources with native
-        batching, such as
+        Returns one :class:`StreamedPartition` per partition of
+        ``router`` (zero-row for partitions the routing left empty). The
+        sealed partitions are registered with the runtime and released
+        by :meth:`close`; on a mid-stream failure every buffer allocated
+        so far is closed and its file unlinked before the exception
+        propagates. ``max_chunk_rows`` re-splits oversized incoming
+        chunks (sources with native batching, such as
         :class:`~repro.streaming.stream.GeneratorStream`, may deliver
         chunks larger than the requested size) so the coordinator's
-        in-flight working set — and the recorded ``chunk_peak`` — stays
-        bounded regardless of the source's granularity.
+        in-flight working set stays bounded regardless of the source's
+        granularity.
         """
         if max_chunk_rows is not None and max_chunk_rows < 1:
             raise InvalidParameterError("max_chunk_rows must be >= 1 (or None)")
-        if storage is not None and storage not in available_storage_tiers():
-            # Validated before any chunk is consumed: a typo'd tier must not
-            # cost a single-pass stream its first chunk.
-            raise InvalidParameterError(
-                f"unknown storage tier {storage!r}; available: "
-                f"{', '.join(available_storage_tiers())}"
-            )
-        dtype = np.dtype(dtype)
-        hint = partition_size_hint
-        if hint is None and router.n_total is not None:
-            hint = max(1, -(-router.n_total // router.ell))  # ceil division
-        # The partition footprint can only be estimated once the first chunk
-        # reveals the dimension; until then the tier is undecided.
-        estimated_bytes: int | None = None
+        # A sized stream preallocates each partition's share (ceil division);
+        # an unsized one starts from the first chunk's size and grows.
+        hint = None if router.n_total is None else max(1, -(-router.n_total // router.ell))
         # Buffers are appended one at a time so that the cleanup below sees
         # every one allocated before a later allocation fails.
         buffers: list[PartitionBuffer] = []
@@ -585,7 +514,7 @@ class MapReduceRuntime:
 
         def bounded_chunks():
             for chunk in chunks:
-                chunk = np.asarray(chunk, dtype=dtype)
+                chunk = np.asarray(chunk, dtype=np.float64)
                 if chunk.ndim != 2:
                     raise InvalidParameterError(
                         f"shuffle chunks must be (m, d) arrays; got ndim={chunk.ndim}"
@@ -602,31 +531,32 @@ class MapReduceRuntime:
                 if m == 0:
                     continue
                 if dimension is None:
+                    # The partition footprint can only be estimated once the
+                    # first chunk reveals the dimension.
                     dimension = int(chunk.shape[1])
+                    estimated_bytes = None
                     if router.n_total is not None:
-                        row_bytes = dimension * dtype.itemsize
-                        if with_indices:
-                            row_bytes += np.dtype(np.intp).itemsize
+                        # float64 coordinates plus the intp global index.
+                        row_bytes = dimension * 8 + np.dtype(np.intp).itemsize
                         estimated_bytes = router.n_total * row_bytes
                     tier = resolve_storage(
-                        storage if storage is not None else self._storage,
+                        self._storage,
                         backend=self._backend,
                         estimated_bytes=estimated_bytes,
                         memory_budget_bytes=self._memory_budget_bytes,
                     )
-                    tier_dir = self._tier_dir(tier, spill_dir)
+                    tier_dir = self._tier_dir(tier)
                     capacity = hint or max(1, m)
                     for _ in range(router.ell):
                         buffers.append(
                             PartitionBuffer(
                                 dimension,
-                                dtype=dtype,
                                 storage=tier,
                                 initial_capacity=capacity,
                                 spill_dir=tier_dir,
                             )
                         )
-                    for _ in range(router.ell if with_indices else 0):
+                    for _ in range(router.ell):
                         index_buffers.append(
                             PartitionBuffer(
                                 None,
@@ -654,8 +584,7 @@ class MapReduceRuntime:
                     stop = start + int(count)
                     if stop > start:
                         buffers[partition_id].append(sorted_rows[start:stop])
-                        if with_indices:
-                            index_buffers[partition_id].append(sorted_indices[start:stop])
+                        index_buffers[partition_id].append(sorted_indices[start:stop])
                     start = stop
 
             if dimension is None:
@@ -666,18 +595,9 @@ class MapReduceRuntime:
                     f"declared {router.n_total}"
                 )
 
-            spilled = sum(buffer.spilled_bytes for buffer in buffers)
-            parts = []
-            for buffer in buffers:
-                parts.append(buffer.finalize())
-                sealed.append(parts[-1])
-            index_parts: list | None = None
-            if with_indices:
-                spilled += sum(buffer.spilled_bytes for buffer in index_buffers)
-                index_parts = []
-                for buffer in index_buffers:
-                    index_parts.append(buffer.finalize())
-                    sealed.append(index_parts[-1])
+            spilled = sum(buffer.spilled_bytes for buffer in buffers + index_buffers)
+            for buffer in buffers + index_buffers:
+                sealed.append(buffer.finalize())
         except BaseException:
             # A failure (or interrupt) mid-shuffle must not strand the
             # partially-filled partition files — nor any partition already
@@ -692,15 +612,10 @@ class MapReduceRuntime:
         self.note_coordinator_items(chunk_peak)
         self._stats.storage_tier = tier
         self._stats.spilled_bytes += spilled
-        return StreamShuffleResult(
-            parts=parts,
-            index_parts=index_parts,
-            n_points=router.points_routed,
-            dimension=dimension,
-            chunk_peak=chunk_peak,
-            storage_tier=tier,
-            spilled_bytes=spilled,
-        )
+        return [
+            StreamedPartition(points, indices)
+            for points, indices in zip(sealed[: router.ell], sealed[router.ell :])
+        ]
 
     def close(self) -> None:
         """Release resources this runtime owns. Idempotent.
@@ -724,28 +639,31 @@ class MapReduceRuntime:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- accounting --------------------------------------------------------------------
+    # -- execution ---------------------------------------------------------------------
 
     @property
     def stats(self) -> JobStats:
         """Accumulated per-round and per-job accounting."""
         return self._stats
 
-    def reset(self) -> None:
-        """Forget all accounting from previous rounds."""
-        self._stats = JobStats()
+    def execute_round(
+        self, tasks: Sequence[tuple[Hashable, object]], reducer: Reducer
+    ) -> list:
+        """Run one round: ``reducer(key, value)`` once per ``(key, value)`` task.
 
-    def _account_groups(
-        self, stats: RoundStats, groups: dict[Hashable, list]
-    ) -> None:
-        """Record reducer input sizes and enforce the local memory limit.
-
-        Runs in the coordinator before any reducer is dispatched, so the
+        Task keys must be distinct. Each task's value is sized with
+        :func:`default_sizeof` and checked against the local memory
+        limit in the coordinator before any reducer runs, so the
         accounting (and limit enforcement) is identical on every backend.
+        Returns the reducers' outputs in task order, whichever backend
+        ran them.
         """
-        stats.n_reducers = len(groups)
-        for key, values in groups.items():
-            size = sum(self._sizeof(v) for v in values)
+        tasks = list(tasks)
+        stats = RoundStats(round_index=self._stats.n_rounds)
+        for key, value in tasks:
+            if key in stats.reducer_input_sizes:
+                raise InvalidParameterError(f"duplicate task key {key!r} in one round")
+            size = default_sizeof(value)
             stats.reducer_input_sizes[key] = size
             if self._local_memory_limit is not None and size > self._local_memory_limit:
                 raise MemoryBudgetExceededError(
@@ -753,42 +671,10 @@ class MapReduceRuntime:
                     f"exceeding the local memory limit of {self._local_memory_limit}"
                 )
 
-    # -- execution ---------------------------------------------------------------------
+        results = self._backend.run_reducers(reducer, tasks)
+        stats.reducer_times = {key: elapsed for (key, _), (_, elapsed) in zip(tasks, results)}
 
-    def execute_round(
-        self,
-        pairs: Sequence[KeyValue],
-        mapper: Mapper,
-        reducer: Reducer,
-    ) -> list[KeyValue]:
-        """Execute one map-shuffle-reduce round and return the output pairs.
-
-        ``mapper`` is applied to every input pair and must yield zero or
-        more ``(key, value)`` pairs; values with equal keys are grouped and
-        handed to ``reducer`` as a list (in emission order, making the
-        engine deterministic); the concatenation of all reducer outputs is
-        returned, in the deterministic insertion order of the reduce keys
-        regardless of the backend.
-        """
-        stats = RoundStats(round_index=self._stats.n_rounds)
-
-        map_start = time.perf_counter()
-        groups: dict[Hashable, list] = {}
-        for key, value in pairs:
-            for out_key, out_value in mapper(key, value):
-                groups.setdefault(out_key, []).append(out_value)
-        stats.map_time = time.perf_counter() - map_start
-
-        self._account_groups(stats, groups)
-
-        results = self._backend.run_reducers(reducer, groups)
-        outputs: list[KeyValue] = []
-        for key in groups:
-            produced, elapsed = results[key]
-            outputs.extend(produced)
-            stats.reducer_times[key] = elapsed
-
-        # Distributed rounds additionally report where each group ran and
+        # Distributed rounds additionally report where each task ran and
         # how many payload bytes crossed the wire; see JobStats.
         take_accounting = getattr(self._backend, "take_round_accounting", None)
         if take_accounting is not None:
@@ -797,7 +683,7 @@ class MapReduceRuntime:
             self._stats.bytes_shipped += shipped
 
         self._stats.rounds.append(stats)
-        return outputs
+        return [output for output, _ in results]
 
 
 def shuffle_point_stream(
@@ -863,13 +749,7 @@ def shuffle_point_stream(
         router = ChunkRouter(ell_used, "adversarial", n_total=n_hint, assignment=assignment)
     else:
         router = ChunkRouter(ell_used, partitioning, n_total=n_hint)
-    shuffled = runtime.shuffle_stream(
-        stream.iterate_batches(chunk_size),
-        router,
-        max_chunk_rows=chunk_size,
+    parts = runtime.shuffle_stream(
+        stream.iterate_batches(chunk_size), router, max_chunk_rows=chunk_size
     )
-    parts = [
-        StreamedPartition(points, indices)
-        for points, indices in zip(shuffled.parts, shuffled.index_parts)
-    ]
-    return parts, shuffled.n_points, ell_used
+    return parts, router.points_routed, ell_used

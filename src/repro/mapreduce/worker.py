@@ -26,9 +26,9 @@ opcodes (coordinator to worker):
   :class:`~repro.mapreduce.backends.SharedArray` handle
   pickled into a later task re-opens the *local copy* as a read-only
   memmap. Replies OK with the local path.
-* ``t`` **TASK** — pickled ``(key, values)``: run the connection's
-  reducer on the group. Replies RESULT with pickled
-  ``(outputs, elapsed_seconds)``, or ERROR with a pickled
+* ``t`` **TASK** — pickled ``(key, value)``: call the connection's
+  reducer as ``reducer(key, value)``. Replies RESULT with pickled
+  ``(output, elapsed_seconds)``, or ERROR with a pickled
   ``(exception_type, message, traceback)`` summary when the reducer
   itself raised (an application failure the coordinator must not retry).
 * ``q`` **QUIT** — end the connection. The worker deletes every spill
@@ -72,6 +72,7 @@ __all__ = [
     "OP_RESULT",
     "OP_ERROR",
     "ProtocolError",
+    "parse_worker_address",
     "send_frame",
     "recv_frame",
     "WorkerServer",
@@ -160,22 +161,30 @@ def _install_spill_resolver() -> None:
 # -- the server ------------------------------------------------------------------------
 
 
-def parse_listen_address(spec: str) -> tuple[str, int]:
-    """Parse a ``HOST:PORT`` listen spec (port 0 asks the OS for a free port)."""
-    host, sep, port_text = str(spec).rpartition(":")
-    if not sep or not host:
-        raise InvalidParameterError(
-            f"worker address must look like HOST:PORT; got {spec!r}"
-        )
+def parse_worker_address(spec) -> tuple[str, int]:
+    """Parse a worker address: ``"host:port"`` or a ``(host, port)`` pair.
+
+    Port 0 is accepted: as a listen address it asks the OS for a free
+    port (the coordinator side rejects it, see
+    :class:`~repro.mapreduce.cluster.DistributedBackend`).
+    """
+    if isinstance(spec, tuple) and len(spec) == 2:
+        host, port = spec
+    else:
+        host, sep, port = str(spec).rpartition(":")
+        if not sep or not host:
+            raise InvalidParameterError(
+                f"worker address must look like HOST:PORT; got {spec!r}"
+            )
     try:
-        port = int(port_text)
-    except ValueError:
+        port = int(port)
+    except (TypeError, ValueError):
         raise InvalidParameterError(
             f"worker address must look like HOST:PORT; got {spec!r}"
         ) from None
     if not 0 <= port <= 65535:
-        raise InvalidParameterError(f"port must be in [0, 65535]; got {port}")
-    return host, port
+        raise InvalidParameterError(f"worker port must be in [0, 65535]; got {port}")
+    return str(host), port
 
 
 class WorkerServer:
@@ -404,12 +413,12 @@ class WorkerServer:
                             raise RuntimeError(
                                 "TASK received before any REDUCER on this connection"
                             )
-                        key, values = pickle.loads(payload)
-                        outputs, elapsed = _timed_reduce(reducer, key, values)
+                        key, value = pickle.loads(payload)
+                        result = _timed_reduce(reducer, key, value)
                     except Exception as exc:
                         send_frame(conn, OP_ERROR, pickle.dumps(self._summarize(exc)))
                     else:
-                        send_frame(conn, OP_RESULT, pickle.dumps((outputs, elapsed)))
+                        send_frame(conn, OP_RESULT, pickle.dumps(result))
                         with self._lock:
                             self._tasks_completed += 1
                 else:
@@ -447,7 +456,7 @@ def serve(listen: str, *, spill_dir: str | None = None) -> int:
     removes its owned spill directory before exiting, so supervisors
     that stop workers with a plain ``kill`` leave no orphans behind.
     """
-    host, port = parse_listen_address(listen)
+    host, port = parse_worker_address(listen)
     server = WorkerServer(host, port, spill_dir=spill_dir)
     print(f"repro worker listening on {server.address}", flush=True)
     previous_handler = None

@@ -31,23 +31,22 @@ from repro.metricspace.points import WeightedPoints
 BACKENDS = ("serial", "threads", "processes")
 
 
-# Module-level so the rounds are picklable for the process backend.
-def modulo_mapper(_key, values):
+def residue_tasks(values, modulus=4):
+    """One task per residue of ``values`` mod ``modulus``, keys in first-seen order."""
+    groups = {}
     for value in values:
-        yield (value % 4, value)
+        groups.setdefault(value % modulus, []).append(value)
+    return list(groups.items())
 
 
+# Module-level so the rounds are picklable for the process backend.
 def summing_reducer(key, values):
-    yield (key, sum(values))
-
-
-def regroup_mapper(_key, value):
-    yield (0, value)
+    return key, sum(values)
 
 
 def shared_lookup_reducer(key, values, points=None):
     # Exercises SharedArray access from inside a reducer.
-    yield (key, float(points.array[np.asarray(values)].sum()))
+    return key, float(points.array[np.asarray(values)].sum())
 
 
 class TestResolveBackend:
@@ -73,6 +72,16 @@ class TestResolveBackend:
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
+    def test_max_workers_with_instance_rejected(self):
+        # The instance fixes its own pool size; a second one must not be ignored.
+        backend = ThreadBackend(2)
+        with pytest.raises(InvalidParameterError, match="max_workers="):
+            resolve_backend(backend, max_workers=8)
+        with pytest.raises(InvalidParameterError, match="max_workers="):
+            MapReduceRuntime(backend=backend, max_workers=8)
+        with pytest.raises(InvalidParameterError, match="max_workers="):
+            MapReduceKCenter(2, backend=backend, max_workers=8).fit(np.zeros((8, 2)))
+
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown backend"):
             resolve_backend("spark")
@@ -89,24 +98,24 @@ class TestResolveBackend:
 
 class TestRoundEquivalence:
     @pytest.fixture()
-    def pairs(self):
-        return [(None, list(range(40)))]
+    def tasks(self):
+        return residue_tasks(range(40))
 
-    def test_outputs_identical_across_backends(self, pairs):
+    def test_outputs_identical_across_backends(self, tasks):
         reference = None
         for name in BACKENDS:
             with MapReduceRuntime(backend=name, max_workers=2) as runtime:
-                output = runtime.execute_round(pairs, modulo_mapper, summing_reducer)
+                output = runtime.execute_round(tasks, summing_reducer)
             if reference is None:
                 reference = output
             else:
                 assert output == reference
 
-    def test_stats_identical_modulo_timings(self, pairs):
+    def test_stats_identical_modulo_timings(self, tasks):
         recorded = {}
         for name in BACKENDS:
             with MapReduceRuntime(backend=name, max_workers=2) as runtime:
-                runtime.execute_round(pairs, modulo_mapper, summing_reducer)
+                runtime.execute_round(tasks, summing_reducer)
                 stats = runtime.stats.rounds[0]
                 recorded[name] = (
                     stats.n_reducers,
@@ -116,17 +125,17 @@ class TestRoundEquivalence:
         assert recorded["threads"] == recorded["serial"]
         assert recorded["processes"] == recorded["serial"]
 
-    def test_memory_limit_enforced_on_every_backend(self, pairs):
+    def test_memory_limit_enforced_on_every_backend(self, tasks):
         for name in BACKENDS:
             with MapReduceRuntime(backend=name, local_memory_limit=2) as runtime:
                 with pytest.raises(MemoryBudgetExceededError):
-                    runtime.execute_round(pairs, modulo_mapper, summing_reducer)
+                    runtime.execute_round(tasks, summing_reducer)
 
     def test_shared_array_reducer(self, tmp_path):
         from functools import partial
 
         data = np.arange(20.0).reshape(10, 2)
-        pairs = [(None, list(range(10)))]
+        tasks = residue_tasks(range(10))
         reference = None
         for name in BACKENDS:
             buffer = PartitionBuffer(2, storage="disk", spill_dir=str(tmp_path))
@@ -135,7 +144,7 @@ class TestRoundEquivalence:
             try:
                 with MapReduceRuntime(backend=name, max_workers=2) as runtime:
                     reducer = partial(shared_lookup_reducer, points=shared)
-                    output = runtime.execute_round(pairs, modulo_mapper, reducer)
+                    output = runtime.execute_round(tasks, reducer)
             finally:
                 shared.close()
             if reference is None:
@@ -190,15 +199,15 @@ class TestSharedArray:
 class TestBackendLifecycle:
     def test_runtime_close_idempotent(self):
         runtime = MapReduceRuntime(backend="processes", max_workers=2)
-        runtime.execute_round([(None, [1, 2, 3])], modulo_mapper, summing_reducer)
+        runtime.execute_round(residue_tasks([1, 2, 3]), summing_reducer)
         runtime.close()
         runtime.close()
 
     def test_thread_backend_pool_reuse(self):
         backend = ThreadBackend(max_workers=2)
         with MapReduceRuntime(backend=backend) as runtime:
-            first = runtime.execute_round([(None, list(range(8)))], modulo_mapper, summing_reducer)
-            second = runtime.execute_round(first, regroup_mapper, summing_reducer)
+            first = runtime.execute_round(residue_tasks(range(8)), summing_reducer)
+            second = runtime.execute_round([(0, [s for _, s in first])], summing_reducer)
         assert second == [(0, sum(range(8)))]
         backend.close()
 
@@ -206,11 +215,11 @@ class TestBackendLifecycle:
         backend = ProcessBackend(max_workers=2)
         try:
             with MapReduceRuntime(backend=backend) as runtime:
-                runtime.execute_round([(None, [1, 2, 3])], modulo_mapper, summing_reducer)
+                runtime.execute_round(residue_tasks([1, 2, 3]), summing_reducer)
             # The pool must still be usable after the runtime closed.
             assert backend._pool is not None
             with MapReduceRuntime(backend=backend) as runtime:
-                output = runtime.execute_round([(None, [4, 5, 6])], modulo_mapper, summing_reducer)
+                output = runtime.execute_round(residue_tasks([4, 5, 6]), summing_reducer)
             assert dict(output) == {0: 4, 1: 5, 2: 6}
         finally:
             backend.close()
@@ -224,17 +233,15 @@ class TestBackendLifecycle:
         backend = ProcessBackend(max_workers=2)
         try:
             with MapReduceRuntime(backend=backend) as runtime:
-                shuffled = runtime.shuffle_stream(
-                    [np.zeros((5, 2))], ChunkRouter(2, "round_robin")
-                )
-                assert shuffled.storage_tier == "shared"
+                runtime.shuffle_stream([np.zeros((5, 2))], ChunkRouter(2, "round_robin"))
+                assert runtime.stats.storage_tier == "shared"
                 (shm_dir,) = set(runtime._own_dirs.values())
                 assert os.listdir(shm_dir)
             # The runtime removed its partitions and their directory, but
             # left the caller's pool running.
             assert not os.path.exists(shm_dir)
             with MapReduceRuntime(backend=backend) as runtime:
-                output = runtime.execute_round([(None, [4, 5])], modulo_mapper, summing_reducer)
+                output = runtime.execute_round(residue_tasks([4, 5]), summing_reducer)
             assert dict(output) == {0: 4, 1: 5}
         finally:
             backend.close()

@@ -48,7 +48,7 @@ from repro.mapreduce.worker import (
 
 # Module-level so every payload is picklable for the wire.
 def summing_reducer(key, values):
-    yield (key, sum(values))
+    return key, sum(values)
 
 
 def failing_reducer(key, values):
@@ -56,12 +56,7 @@ def failing_reducer(key, values):
 
 
 def shared_lookup_reducer(key, values, points=None):
-    yield (key, float(points.array[np.asarray(values)].sum()))
-
-
-def modulo_mapper(_key, values):
-    for value in values:
-        yield (value % 3, value)
+    return key, float(points.array[np.asarray(values)].sum())
 
 
 def _dead_address() -> str:
@@ -80,10 +75,17 @@ class TestParseWorkerAddress:
     def test_tuple_passthrough(self):
         assert parse_worker_address(("10.0.0.1", "8000")) == ("10.0.0.1", 8000)
 
-    @pytest.mark.parametrize("bad", ["localhost", ":7071", "host:", "host:abc", "host:0"])
+    @pytest.mark.parametrize("bad", ["localhost", ":7071", "host:", "host:abc", "host:65536"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
             parse_worker_address(bad)
+
+    def test_port_zero_is_a_listen_address_only(self):
+        # Port 0 asks the OS for a free port when listening; a coordinator
+        # cannot connect to it.
+        assert parse_worker_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        with pytest.raises(InvalidParameterError, match="not 0"):
+            DistributedBackend(["host:0"])
 
 
 class TestWireProtocol:
@@ -179,13 +181,10 @@ class TestWorkerDaemonSubprocess:
             try:
                 # The daemon process can only unpickle importable callables,
                 # exactly like a remote host: use a library-level reducer.
-                from repro.mapreduce.runtime import identity_mapper
+                import operator
 
-                results = backend.run_reducers(
-                    identity_mapper, {0: [1, 2, 3], 1: [10, 20]}
-                )
-                assert results[0][0] == [(0, [1, 2, 3])]
-                assert results[1][0] == [(1, [10, 20])]
+                results = backend.run_reducers(operator.add, [(1, 2), (10, 20)])
+                assert [output for output, _ in results] == [3, 30]
             finally:
                 backend.close()
         finally:
@@ -214,7 +213,7 @@ class TestWorkerDaemonSubprocess:
                 addresses.append(process.stdout.readline().strip().rsplit(" ", 1)[-1])
             with DistributedBackend(addresses) as backend:
                 with pytest.raises(WorkerTaskError, match="unpickling the reducer"):
-                    backend.run_reducers(summing_reducer, {0: [1, 2]})
+                    backend.run_reducers(summing_reducer, [(0, [1, 2])])
                 assignments, _ = backend.take_round_accounting()
                 assert all(len(attempts) == 1 for attempts in assignments.values())
         finally:
@@ -284,23 +283,21 @@ class TestResolveDistributed:
 
 
 class TestRunReducers:
-    def test_matches_serial_and_keys_order(self):
-        groups = {key: list(range(key, key + 5)) for key in (3, 1, 2)}
-        serial = {key: [(key, sum(values))] for key, values in groups.items()}
+    def test_matches_serial_in_task_order(self):
+        tasks = [(key, list(range(key, key + 5))) for key in (3, 1, 2)]
         with LocalCluster(2) as cluster:
             with cluster.backend() as backend:
-                results = backend.run_reducers(summing_reducer, groups)
-        assert list(results) == [3, 1, 2]
-        for key in groups:
-            outputs, elapsed = results[key]
-            assert outputs == serial[key]
-            assert elapsed >= 0.0
+                results = backend.run_reducers(summing_reducer, tasks)
+        assert [output for output, _ in results] == [
+            summing_reducer(key, values) for key, values in tasks
+        ]
+        assert all(elapsed >= 0.0 for _, elapsed in results)
 
     def test_round_robin_placement_is_pure_function_of_index(self):
-        groups = {key: [key] for key in range(6)}
+        tasks = [(key, [key]) for key in range(6)]
         with LocalCluster(3) as cluster:
             with cluster.backend() as backend:
-                backend.run_reducers(summing_reducer, groups)
+                backend.run_reducers(summing_reducer, tasks)
                 assignments, _ = backend.take_round_accounting()
         addresses = cluster.addresses
         for index in range(6):
@@ -316,8 +313,7 @@ class TestRunReducers:
                 from functools import partial
 
                 outputs = runtime.execute_round(
-                    [(None, [0, 1, 2, 3])],
-                    modulo_mapper,
+                    [(0, [0, 3]), (1, [1]), (2, [2])],
                     partial(shared_lookup_reducer, points=shared),
                 )
         totals = dict(outputs)
@@ -327,7 +323,7 @@ class TestRunReducers:
         with LocalCluster(2) as cluster:
             with MapReduceRuntime(workers=cluster.addresses) as runtime:
                 runtime.execute_round(
-                    [(None, list(range(9)))], modulo_mapper, summing_reducer
+                    [(key, list(range(key, 9, 3))) for key in range(3)], summing_reducer
                 )
                 stats = runtime.stats
         assert len(stats.worker_assignments) == 1
@@ -337,22 +333,21 @@ class TestRunReducers:
     def test_backend_reusable_after_close(self):
         with LocalCluster(1) as cluster:
             backend = cluster.backend()
-            assert backend.run_reducers(summing_reducer, {0: [1, 2]})[0][0] == [(0, 3)]
+            assert backend.run_reducers(summing_reducer, [(0, [1, 2])])[0][0] == (0, 3)
             backend.close()
             # Closed connections reconnect lazily.
-            assert backend.run_reducers(summing_reducer, {0: [4]})[0][0] == [(0, 4)]
+            assert backend.run_reducers(summing_reducer, [(0, [4])])[0][0] == (0, 4)
             backend.close()
 
 
 class TestFailureInjection:
     def test_worker_death_mid_job_retries_on_survivor(self):
-        groups = {key: list(range(10)) for key in range(4)}
-        expected = {key: [(key, 45)] for key in groups}
+        tasks = [(key, list(range(10))) for key in range(4)]
         with LocalCluster(2, fail_after_tasks={0: 1}) as cluster:
             with cluster.backend() as backend:
-                results = backend.run_reducers(summing_reducer, groups)
+                results = backend.run_reducers(summing_reducer, tasks)
                 assignments, _ = backend.take_round_accounting()
-        assert {key: outputs for key, (outputs, _) in results.items()} == expected
+        assert [output for output, _ in results] == [(key, 45) for key in range(4)]
         retried = [key for key, attempts in assignments.items() if len(attempts) > 1]
         assert retried, "the killed worker's task must record a reassignment"
         survivor = cluster.addresses[1]
@@ -360,21 +355,21 @@ class TestFailureInjection:
             assert assignments[key][-1] == survivor
 
     def test_truncated_frame_mid_result_retries_on_survivor(self):
-        groups = {key: [key, key + 1] for key in range(4)}
+        tasks = [(key, [key, key + 1]) for key in range(4)]
         with LocalCluster(2, fail_after_tasks={0: 1}, fail_mode="truncate") as cluster:
             with cluster.backend() as backend:
-                results = backend.run_reducers(summing_reducer, groups)
-        assert results[0][0] == [(0, 1)]
-        assert results[3][0] == [(3, 7)]
+                results = backend.run_reducers(summing_reducer, tasks)
+        assert results[0][0] == (0, 1)
+        assert results[3][0] == (3, 7)
 
     def test_unreachable_address_at_connect_fails_over(self):
         with LocalCluster(1) as cluster:
             backend = DistributedBackend([_dead_address()] + cluster.addresses)
             with backend:
-                results = backend.run_reducers(summing_reducer, {0: [5, 5], 1: [1]})
+                results = backend.run_reducers(summing_reducer, [(0, [5, 5]), (1, [1])])
                 assignments, _ = backend.take_round_accounting()
-        assert results[0][0] == [(0, 10)]
-        assert results[1][0] == [(1, 1)]
+        assert results[0][0] == (0, 10)
+        assert results[1][0] == (1, 1)
         # The group first placed on the dead worker records both attempts.
         assert any(len(attempts) == 2 for attempts in assignments.values())
 
@@ -382,37 +377,37 @@ class TestFailureInjection:
         backend = DistributedBackend([_dead_address(), _dead_address()])
         with backend:
             with pytest.raises(WorkerUnavailableError, match="no surviving worker"):
-                backend.run_reducers(summing_reducer, {0: [1]})
+                backend.run_reducers(summing_reducer, [(0, [1])])
 
     def test_mid_job_kill_via_cluster(self):
         # Kill the worker's sockets cold (listener and live connections)
         # between two rounds: the next round must fail over.
         with LocalCluster(2) as cluster:
             with cluster.backend() as backend:
-                first = backend.run_reducers(summing_reducer, {0: [1], 1: [2]})
-                assert first[0][0] == [(0, 1)]
+                first = backend.run_reducers(summing_reducer, [(0, [1]), (1, [2])])
+                assert first[0][0] == (0, 1)
                 cluster.kill_worker(0)
-                second = backend.run_reducers(summing_reducer, {0: [3], 1: [4]})
-                assert second[0][0] == [(0, 3)]
-                assert second[1][0] == [(1, 4)]
+                second = backend.run_reducers(summing_reducer, [(0, [3]), (1, [4])])
+                assert second[0][0] == (0, 3)
+                assert second[1][0] == (1, 4)
 
     def test_reducer_exception_is_not_retried(self):
         with LocalCluster(2) as cluster:
             with cluster.backend() as backend:
                 with pytest.raises(WorkerTaskError, match="deterministic failure"):
-                    backend.run_reducers(failing_reducer, {0: [1], 1: [2]})
+                    backend.run_reducers(failing_reducer, [(0, [1]), (1, [2])])
                 assignments, _ = backend.take_round_accounting()
                 # One attempt only: application errors must not fail over.
                 assert all(len(attempts) == 1 for attempts in assignments.values())
                 # The backend (and its workers) stay usable afterwards.
-                results = backend.run_reducers(summing_reducer, {0: [7]})
-                assert results[0][0] == [(0, 7)]
+                results = backend.run_reducers(summing_reducer, [(0, [7])])
+                assert results[0][0] == (0, 7)
 
     def test_remote_traceback_travels_back(self):
         with LocalCluster(1) as cluster:
             with cluster.backend() as backend:
                 with pytest.raises(WorkerTaskError, match="remote traceback"):
-                    backend.run_reducers(failing_reducer, {0: [1]})
+                    backend.run_reducers(failing_reducer, [(0, [1])])
 
 
 class TestNoOrphans:
@@ -459,16 +454,14 @@ class TestNoOrphans:
                 workers=cluster.addresses, storage="disk", spill_dir=str(tmp_path)
             ) as runtime:
                 from repro.mapreduce.partitioner import ChunkRouter
-                from repro.mapreduce.runtime import identity_mapper
 
                 router = ChunkRouter(3, "round_robin", n_total=len(medium_blobs))
-                shuffled = runtime.shuffle_stream(
+                parts = runtime.shuffle_stream(
                     [medium_blobs[i : i + 100] for i in range(0, len(medium_blobs), 100)],
                     router,
                 )
-                pairs = [(i, part) for i, part in enumerate(shuffled.parts)]
                 with pytest.raises(WorkerTaskError):
-                    runtime.execute_round(pairs, identity_mapper, failing_reducer)
+                    runtime.execute_round(list(enumerate(parts)), failing_reducer)
             # Runtime closed: the coordinator's spill files are removed ...
             assert list(tmp_path.glob("*.npy")) == []
             # ... and so is every pushed copy on the workers.
@@ -493,7 +486,7 @@ class TestNoOrphans:
     def test_backend_close_shuts_sockets(self):
         with LocalCluster(1) as cluster:
             backend = cluster.backend()
-            backend.run_reducers(summing_reducer, {0: [1]})
+            backend.run_reducers(summing_reducer, [(0, [1])])
             links = backend._links
             assert links[0].sock is not None
             backend.close()

@@ -10,13 +10,13 @@ from repro.exceptions import InvalidParameterError
 from repro.mapreduce import MapReduceRuntime
 
 
-def splitter_mapper(_key, values):
-    for value in values:
-        yield (value % 4, value)
-
-
 def summing_reducer(key, values):
-    yield (key, sum(values))
+    return key, sum(values)
+
+
+def _tasks():
+    """Four keyed tasks: the values 0..19 split by residue mod 4."""
+    return [(residue, list(range(residue, 20, 4))) for residue in range(4)]
 
 
 class TestParallelRuntime:
@@ -25,18 +25,13 @@ class TestParallelRuntime:
             MapReduceRuntime(max_workers=0)
 
     def test_same_output_as_sequential(self):
-        pairs = [(None, list(range(40)))]
-        sequential = MapReduceRuntime(max_workers=1).execute_round(
-            pairs, splitter_mapper, summing_reducer
-        )
-        parallel = MapReduceRuntime(max_workers=4).execute_round(
-            pairs, splitter_mapper, summing_reducer
-        )
+        sequential = MapReduceRuntime(max_workers=1).execute_round(_tasks(), summing_reducer)
+        parallel = MapReduceRuntime(max_workers=4).execute_round(_tasks(), summing_reducer)
         assert sequential == parallel
 
     def test_stats_recorded_for_every_reducer(self):
         runtime = MapReduceRuntime(max_workers=3)
-        runtime.execute_round([(None, list(range(20)))], splitter_mapper, summing_reducer)
+        runtime.execute_round(_tasks(), summing_reducer)
         round_stats = runtime.stats.rounds[0]
         assert round_stats.n_reducers == 4
         assert len(round_stats.reducer_times) == 4
@@ -46,7 +41,7 @@ class TestParallelRuntime:
 
         runtime = MapReduceRuntime(max_workers=2, local_memory_limit=2)
         with pytest.raises(MemoryBudgetExceededError):
-            runtime.execute_round([(None, list(range(20)))], splitter_mapper, summing_reducer)
+            runtime.execute_round(_tasks(), summing_reducer)
 
 
 class TestParallelSolvers:

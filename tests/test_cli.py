@@ -150,6 +150,18 @@ class TestMain:
         assert exit_code == 0
         assert "threads" in capsys.readouterr().out
 
+    def test_default_backend_label_names_the_backend_that_ran(self, capsys):
+        # --workers 2 without --backend runs the thread pool, not serial.
+        exit_code = main([
+            "solve", "mr-kcenter", "--dataset", "power",
+            "--n-points", "300", "--k", "5", "--ell", "2", "--mu", "2",
+            "--workers", "2",
+        ])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "threads" in output
+        assert "serial" not in output
+
     def test_solve_mr_kcenter_on_distributed_backend(self, capsys):
         from repro.mapreduce import LocalCluster
 
