@@ -41,6 +41,7 @@ from .core import (
 from .datasets import inject_outliers, load_paper_dataset, stream_paper_dataset
 from .exceptions import InvalidParameterError
 from .mapreduce import available_backends, available_storage_tiers
+from .mapreduce.worker import add_worker_arguments, serve
 from .streaming import ArrayStream, GeneratorStream, StreamingRunner
 from .evaluation import (
     ablation_coreset_stopping,
@@ -357,9 +358,7 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 def _worker(args: argparse.Namespace) -> int:
     """Run a distributed MapReduce worker daemon until interrupted."""
-    from .mapreduce.worker import serve
-
-    return serve(args.listen, spill_dir=args.spill_dir)
+    return serve(args.listen, spill_dir=args.spill_dir, blas_threads=args.blas_threads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,16 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="run a distributed MapReduce worker daemon (for --backend distributed)",
     )
-    worker.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="address to listen on (port 0 picks a free port; the bound "
-             "address is printed on startup)",
-    )
-    worker.add_argument(
-        "--spill-dir", default=None,
-        help="directory for spill files received from coordinators "
-             "(default: a worker-owned temporary directory)",
-    )
+    add_worker_arguments(worker)
     worker.set_defaults(handler=_worker)
 
     figure_names = (

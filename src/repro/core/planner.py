@@ -27,7 +27,6 @@ constant-free "practical" sizes used by the paper's experiments
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .._validation import (
@@ -37,7 +36,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import InvalidParameterError
-from ..mapreduce.backends import available_backends, check_storage_tier
+from ..mapreduce.backends import available_backends, check_storage_tier, usable_cores
 from ..metricspace.doubling import doubling_dimension_estimate
 
 __all__ = ["MapReducePlan", "StreamingPlan", "plan_mapreduce", "plan_streaming"]
@@ -75,7 +74,7 @@ class MapReducePlan:
     suggested_workers:
         Worker count to pass to the runtime for that backend: 1 for the
         serial reference, the cluster size for the distributed backend,
-        otherwise ``min(ell, cpu_count)`` — more workers than round-1
+        otherwise ``min(ell, usable_cores())`` — more workers than round-1
         reducers can never help.
     partitions_per_worker:
         Round-1 reduce tasks each worker executes under the suggested
@@ -239,7 +238,7 @@ def plan_mapreduce(
     epsilon = check_epsilon(epsilon)
     if practical_multiplier < 1:
         raise ValueError("practical_multiplier must be >= 1")
-    cpus = os.cpu_count() or 1
+    cpus = usable_cores()
     n_workers: int | None = None
     if workers is not None:
         if isinstance(workers, int):
@@ -257,7 +256,7 @@ def plan_mapreduce(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"
         )
     if backend == "distributed" and n_workers is None:
-        # The local cpu_count says nothing about a remote cluster's size;
+        # The local core count says nothing about a remote cluster's size;
         # refusing beats fabricating a worker count the plan cannot run with.
         raise InvalidParameterError(
             "a distributed plan needs workers= (a daemon count or address list)"

@@ -15,7 +15,6 @@ laptop-sized.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Mapping, Sequence
 
@@ -34,6 +33,7 @@ from ..datasets.inflation import inflate
 from ..datasets.loaders import higgs_like, power_like, wiki_like
 from ..datasets.outliers import inject_outliers
 from ..datasets.synthetic import GaussianMixtureSpec, gaussian_mixture
+from ..mapreduce.backends import usable_cores
 from ..streaming.runner import StreamingRunner
 from ..streaming.stream import ArrayStream
 from .ratio import approximation_ratios
@@ -465,7 +465,7 @@ def figure7_scaling_processors(
             mu = max(1.0, per_partition / base)
             workers = max_workers
             if workers is None and backend is not None and backend != "serial":
-                workers = max(1, min(int(ell), os.cpu_count() or 1))
+                workers = max(1, min(int(ell), usable_cores()))
             solver = MapReduceKCenterOutliers(
                 k,
                 z,

@@ -17,7 +17,10 @@ provided here:
 * :class:`ProcessBackend` (``"processes"``) — runs reducers on a
   :class:`~concurrent.futures.ProcessPoolExecutor`. Sidesteps the GIL
   entirely, so pure-Python reducer work also scales, at the price of
-  pickling the reducer callable and each task's value.
+  pickling the reducer callable and each task's value. Each reducer runs
+  under a per-round BLAS thread budget set inside its worker process
+  (see :func:`set_blas_threads`), so the pool does not oversubscribe the
+  cores with OpenBLAS threads; the coordinator keeps its own count.
 
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
 live* while they are being assembled: three tiers (see
@@ -50,6 +53,9 @@ functions over picklable arguments. The k-center drivers in
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 import os
 import struct
 import time
@@ -72,22 +78,102 @@ __all__ = [
     "PartitionBuffer",
     "available_backends",
     "available_storage_tiers",
+    "blas_threads",
     "check_storage_tier",
     "resolve_backend",
     "resolve_storage",
+    "set_blas_threads",
     "set_spill_path_resolver",
+    "usable_cores",
 ]
 
+_log = logging.getLogger(__name__)
 
-def _timed_reduce(reducer, key, value):
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set, else the machine's count.
+
+    A CPU-restricted container reports the host's ``os.cpu_count()`` but
+    schedules the process on its affinity set only; pool sizes and BLAS
+    budgets are derived from the latter.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+# -- BLAS thread budget ----------------------------------------------------------------
+
+#: ``(setter, getter)`` symbol pairs of the OpenBLAS builds we know: the
+#: ``scipy-openblas`` wheels NumPy bundles (64-bit and 32-bit integer
+#: builds), older NumPy wheels, and system libraries.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """``(setter, getter)`` ctypes functions of every loaded OpenBLAS, looked up once.
+
+    The libraries are the ones ``/proc/self/maps`` shows mapped. Empty
+    when none exports a known symbol (another BLAS, or no procfs); that
+    case is logged once and BLAS runs unpinned. A forked pool worker
+    inherits the lookup (the function addresses stay valid in the child).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:  # pragma: no cover - no procfs
+        paths = set()
+    found = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping whose file was replaced on disk
+            continue
+        for setter, getter in _OPENBLAS_SYMBOLS:
+            if hasattr(library, setter) and hasattr(library, getter):
+                found.append((getattr(library, setter), getattr(library, getter)))
+                break
+    if not found:
+        _log.info("no known OpenBLAS thread setter is loaded; BLAS threads stay unpinned")
+    return tuple(found)
+
+
+def set_blas_threads(n_threads: int) -> None:
+    """Set this process's OpenBLAS thread count (a no-op when no setter is known).
+
+    The count is process-wide, so only a process whose every BLAS call
+    should obey it may set it: a process-pool worker, or a worker daemon.
+    """
+    for setter, _ in _openblas():
+        setter(int(n_threads))
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, or ``None`` when no getter is known."""
+    libraries = _openblas()
+    return int(libraries[0][1]()) if libraries else None
+
+
+def _timed_reduce(reducer, key, value, blas_budget=None):
     """Run ``reducer(key, value)`` and measure the wall-clock time spent inside it.
 
-    The only timer on the MapReduce path. Module-level so that the
-    process backend can submit it to a
+    The only timer on the MapReduce path and the only place a reducer
+    runs. Module-level so that the process backend can submit it to a
     :class:`~concurrent.futures.ProcessPoolExecutor`; the timing is taken
     where the reducer runs, so it measures reducer compute, not
-    serialisation.
+    serialisation. A ``blas_budget`` pins the BLAS thread count of the
+    (worker) process first; it is ``None`` on every backend whose
+    reducers share the coordinator's process.
     """
+    if blas_budget is not None:
+        set_blas_threads(blas_budget)
     start = time.perf_counter()
     output = reducer(key, value)
     return output, time.perf_counter() - start
@@ -580,6 +666,9 @@ class _PoolBackend:
     """A backend whose reducers run on a lazily created executor pool."""
 
     _executor: type  # the concurrent.futures executor class
+    #: BLAS thread budget applied to the last round's reducers (``None``:
+    #: not pinned); :class:`~repro.mapreduce.runtime.RoundStats` records it.
+    last_blas_threads = None
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
@@ -589,11 +678,17 @@ class _PoolBackend:
     def max_workers(self) -> int:
         return self._max_workers
 
+    def _blas_budget(self, n_tasks: int) -> int | None:
+        """BLAS threads per reducer for a round of ``n_tasks``; ``None`` leaves BLAS alone."""
+        return None
+
     def run_reducers(self, reducer, tasks):
         if self._pool is None:
             self._pool = self._executor(max_workers=self._max_workers)
+        budget = self.last_blas_threads = self._blas_budget(len(tasks))
         futures = [
-            self._pool.submit(_timed_reduce, reducer, key, value) for key, value in tasks
+            self._pool.submit(_timed_reduce, reducer, key, value, budget)
+            for key, value in tasks
         ]
         return [future.result() for future in futures]
 
@@ -604,7 +699,11 @@ class _PoolBackend:
 
 
 class ThreadBackend(_PoolBackend):
-    """Reducers run concurrently on a thread pool (shared address space, GIL applies)."""
+    """Reducers run concurrently on a thread pool (shared address space, GIL applies).
+
+    BLAS is never pinned: the threads share the coordinator's process, so
+    a thread count set for one reducer would hold for the whole process.
+    """
 
     name = "threads"
     default_storage = "memory"
@@ -623,6 +722,15 @@ class ProcessBackend(_PoolBackend):
     reducers must be module-level functions or partials thereof.
     Partitions on the file-backed tiers pickle as a path that the worker
     memory-maps, so a task carries no row data.
+
+    Each round gives its reducers a BLAS thread budget of
+    ``max(1, usable_cores() // min(max_workers, n_tasks))``, set inside
+    the worker process before the reducer runs. A round with more tasks
+    than workers thus runs one BLAS thread per worker instead of every
+    worker inheriting OpenBLAS's full count (which oversubscribes the
+    cores and makes GEMV-shaped kernels pay thread-sync costs), while a
+    one-task round gets every core. The coordinator's own BLAS thread
+    count is never changed.
     """
 
     name = "processes"
@@ -630,6 +738,11 @@ class ProcessBackend(_PoolBackend):
     #: ``/dev/shm`` that tasks reference by path.
     default_storage = "shared"
     _executor = ProcessPoolExecutor
+
+    def _blas_budget(self, n_tasks):
+        if not _openblas():
+            return None
+        return max(1, usable_cores() // min(self._max_workers, max(1, n_tasks)))
 
 
 _BACKENDS = {
@@ -645,7 +758,7 @@ _DISTRIBUTED = "distributed"
 
 def _check_workers(max_workers: int | None) -> int:
     if max_workers is None:
-        return os.cpu_count() or 1
+        return usable_cores()
     if max_workers < 1:
         raise InvalidParameterError("max_workers must be >= 1")
     return int(max_workers)
@@ -669,10 +782,11 @@ def resolve_backend(
     ``workers`` (a sequence of ``host:port`` addresses) is given, which
     selects the distributed backend. Strings are looked up among
     :func:`available_backends`; for ``"threads"`` and ``"processes"`` a
-    ``max_workers`` of ``None`` means one worker per CPU, and
-    ``"distributed"`` requires ``workers``. An instance is returned as
-    is; it is configured directly, so neither ``max_workers`` nor
-    ``workers`` may accompany it.
+    ``max_workers`` of ``None`` means one worker per usable core.
+    ``"distributed"`` requires ``workers`` and takes no ``max_workers``
+    (the address list sizes the cluster), and ``"serial"`` takes none
+    above 1. An instance is returned as is; it is configured directly,
+    so neither ``max_workers`` nor ``workers`` may accompany it.
     """
     if backend is None and workers is not None:
         backend = _DISTRIBUTED
@@ -703,7 +817,10 @@ def resolve_backend(
                 "'repro worker --listen HOST:PORT'"
             )
         if max_workers is not None:
-            _check_workers(max_workers)  # validated, but the address list rules
+            raise InvalidParameterError(
+                "max_workers= does not apply to the 'distributed' backend; "
+                "its workers= address list sizes the cluster"
+            )
         return DistributedBackend(workers)
     if workers is not None:
         raise InvalidParameterError(
@@ -717,7 +834,10 @@ def resolve_backend(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"
         ) from None
     if factory is SerialBackend:
-        if max_workers is not None:
-            _check_workers(max_workers)  # validate even though serial ignores it
+        if max_workers is not None and _check_workers(max_workers) > 1:
+            raise InvalidParameterError(
+                f"the 'serial' backend runs one reducer at a time; got "
+                f"max_workers={max_workers} (use 'threads' or 'processes' for a pool)"
+            )
         return SerialBackend()
     return factory(max_workers)

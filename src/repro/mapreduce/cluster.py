@@ -419,7 +419,11 @@ class LocalCluster:
     Spawns :class:`~repro.mapreduce.worker.WorkerServer` instances on
     ``127.0.0.1`` (OS-assigned ports), each serving on a background
     thread — real TCP sockets and real pickling, but deterministic and
-    self-contained. Use as a context manager::
+    self-contained. The workers live in the coordinator's process, so
+    their reducers share the coordinator's BLAS threads and are never
+    pinned (a pin would be process-wide); daemons started with ``repro
+    worker --blas-threads N`` are the way to budget BLAS per worker.
+    Use as a context manager::
 
         with LocalCluster(2) as cluster:
             solver = MapReduceKCenter(5, workers=cluster.addresses)

@@ -36,7 +36,10 @@ the tasks handed to an
   module-level functions (or partials of them); in exchange the GIL no
   longer serialises pure-Python reducer work. Shuffled partitions live
   in files under ``/dev/shm`` (the ``"shared"`` storage tier), so tasks
-  reference them by path instead of copying them.
+  reference them by path instead of copying them. Each worker runs its
+  reducer under the round's BLAS thread budget
+  (:attr:`RoundStats.blas_threads`), so the pool does not oversubscribe
+  the cores with OpenBLAS threads.
 * ``backend="distributed"`` — reducers run on remote worker daemons over
   TCP (see the "Distributed backend" section below).
 
@@ -221,11 +224,16 @@ class RoundStats:
         reducer, keyed by task key.
     reducer_times:
         Wall-clock seconds spent inside each reducer, keyed by task key.
+    blas_threads:
+        BLAS thread budget the backend set for each reducer of the round
+        (the process backend's per-round budget), or ``None`` when the
+        backend left BLAS unpinned.
     """
 
     round_index: int
     reducer_input_sizes: dict = field(default_factory=dict)
     reducer_times: dict = field(default_factory=dict)
+    blas_threads: int | None = None
 
     @property
     def n_reducers(self) -> int:
@@ -349,9 +357,10 @@ class MapReduceRuntime:
         disables enforcement (accounting still happens).
     max_workers:
         Worker count for the pooled backends. ``None`` means 1 for the
-        default (backend-less) configuration and one worker per CPU when
-        an explicit ``"threads"``/``"processes"`` backend is named. Not
-        accepted together with a backend instance.
+        default (backend-less) configuration and one worker per usable
+        core when an explicit ``"threads"``/``"processes"`` backend is
+        named. Not accepted together with a backend instance or
+        ``"distributed"``, nor above 1 with ``"serial"``.
     backend:
         ``"serial"``, ``"threads"``, ``"processes"``, ``"distributed"``,
         an :class:`~repro.mapreduce.backends.ExecutorBackend` instance,
@@ -673,6 +682,7 @@ class MapReduceRuntime:
 
         results = self._backend.run_reducers(reducer, tasks)
         stats.reducer_times = {key: elapsed for (key, _), (_, elapsed) in zip(tasks, results)}
+        stats.blas_threads = getattr(self._backend, "last_blas_threads", None)
 
         # Distributed rounds additionally report where each task ran and
         # how many payload bytes crossed the wire; see JobStats.

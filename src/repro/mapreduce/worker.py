@@ -9,6 +9,11 @@ One daemon serves any number of jobs, one connection per job; the
 in-process :class:`~repro.mapreduce.cluster.LocalCluster` harness spawns
 the same server on loopback sockets for deterministic tests.
 
+``--blas-threads N`` pins the daemon's OpenBLAS thread count once at
+start. The default leaves it unpinned, which suits one daemon per host;
+pin when several daemons share a host's cores (e.g. ``N`` = cores per
+daemon).
+
 Wire protocol
 -------------
 Every frame is a 9-byte header — a 1-byte opcode followed by an unsigned
@@ -16,7 +21,7 @@ Every frame is a 9-byte header — a 1-byte opcode followed by an unsigned
 opcodes (coordinator to worker):
 
 * ``h`` **HELLO** — empty payload; the worker replies OK with pickled
-  metadata (pid, address, spill directory).
+  metadata (pid, address, spill directory, BLAS thread count).
 * ``r`` **REDUCER** — pickled reducer callable; becomes the connection's
   current reducer (sent once per round, not once per task). Replies OK.
 * ``p`` **PUT** — pickled ``(origin_path, file_bytes)``: a partition
@@ -77,6 +82,7 @@ __all__ = [
     "recv_frame",
     "WorkerServer",
     "serve",
+    "add_worker_arguments",
     "main",
 ]
 
@@ -377,6 +383,7 @@ class WorkerServer:
                         "pid": os.getpid(),
                         "address": self.address,
                         "spill_dir": self._spill_dir,
+                        "blas_threads": _backends.blas_threads(),
                     }
                     send_frame(conn, OP_OK, pickle.dumps(info))
                 elif opcode == OP_REDUCER:
@@ -449,14 +456,22 @@ class WorkerServer:
         aliases.clear()
 
 
-def serve(listen: str, *, spill_dir: str | None = None) -> int:
+def serve(
+    listen: str, *, spill_dir: str | None = None, blas_threads: int | None = None
+) -> int:
     """Run a worker daemon on ``listen`` (``HOST:PORT``) until interrupted.
 
-    Handles SIGTERM like Ctrl-C: the daemon drops its connections and
-    removes its owned spill directory before exiting, so supervisors
-    that stop workers with a plain ``kill`` leave no orphans behind.
+    ``blas_threads`` pins the daemon process's OpenBLAS thread count
+    before it serves (``None`` leaves it unpinned). Handles SIGTERM like
+    Ctrl-C: the daemon drops its connections and removes its owned spill
+    directory before exiting, so supervisors that stop workers with a
+    plain ``kill`` leave no orphans behind.
     """
     host, port = parse_worker_address(listen)
+    if blas_threads is not None:
+        if blas_threads < 1:
+            raise InvalidParameterError("blas_threads must be >= 1")
+        _backends.set_blas_threads(blas_threads)
     server = WorkerServer(host, port, spill_dir=spill_dir)
     print(f"repro worker listening on {server.address}", flush=True)
     previous_handler = None
@@ -481,12 +496,8 @@ def serve(listen: str, *, spill_dir: str | None = None) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point for ``python -m repro.mapreduce.worker``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description="Distributed MapReduce worker daemon (see repro.mapreduce.cluster)",
-    )
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The daemon options shared by ``repro worker`` and ``python -m repro.mapreduce.worker``."""
     parser.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
         help="address to listen on (port 0 picks a free port; the bound "
@@ -497,8 +508,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="directory for spill files received from coordinators "
              "(default: a worker-owned temporary directory)",
     )
+    parser.add_argument(
+        "--blas-threads", type=int, default=None, metavar="N",
+        help="pin the daemon's OpenBLAS thread count to N at start (default: "
+             "unpinned, which suits one daemon per host; with several daemons "
+             "on one host, give each its share of the cores)",
+    )
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point for ``python -m repro.mapreduce.worker``."""
+    parser = argparse.ArgumentParser(
+        prog="repro-worker",
+        description="Distributed MapReduce worker daemon (see repro.mapreduce.cluster)",
+    )
+    add_worker_arguments(parser)
     args = parser.parse_args(argv)
-    return serve(args.listen, spill_dir=args.spill_dir)
+    return serve(args.listen, spill_dir=args.spill_dir, blas_threads=args.blas_threads)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -10,6 +10,8 @@ reference.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,13 @@ from repro.mapreduce import (
     default_sizeof,
     resolve_backend,
 )
+from repro.mapreduce import backends
+from repro.mapreduce.backends import blas_threads, usable_cores
 from repro.metricspace.points import WeightedPoints
 
 BACKENDS = ("serial", "threads", "processes")
+#: Two workers on a pool backend; the serial backend takes no pool size above 1.
+POOL_SIZE = {"serial": 1, "threads": 2, "processes": 2}
 
 
 def residue_tasks(values, modulus=4):
@@ -49,6 +55,16 @@ def shared_lookup_reducer(key, values, points=None):
     return key, float(points.array[np.asarray(values)].sum())
 
 
+def blas_threads_reducer(key, value):
+    # Reports the BLAS thread count of the process the reducer runs in.
+    return blas_threads()
+
+
+def _fake_openblas(calls):
+    """A stand-in for the loaded OpenBLAS whose setter records every pin."""
+    return ((calls.append, lambda: 0),)
+
+
 class TestResolveBackend:
     def test_available_backends(self):
         assert available_backends() == ("distributed", "processes", "serial", "threads")
@@ -64,7 +80,7 @@ class TestResolveBackend:
 
     def test_names_resolve(self):
         for name in BACKENDS:
-            backend = resolve_backend(name, max_workers=2)
+            backend = resolve_backend(name, max_workers=POOL_SIZE[name])
             assert backend.name == name
             backend.close()
 
@@ -81,6 +97,31 @@ class TestResolveBackend:
             MapReduceRuntime(backend=backend, max_workers=8)
         with pytest.raises(InvalidParameterError, match="max_workers="):
             MapReduceKCenter(2, backend=backend, max_workers=8).fit(np.zeros((8, 2)))
+
+    def test_max_workers_with_distributed_rejected(self):
+        # The address list sizes the cluster; a pool size must not be dropped silently.
+        addresses = ["127.0.0.1:7071"]
+        for max_workers in (1, 8):
+            with pytest.raises(InvalidParameterError, match="max_workers="):
+                resolve_backend("distributed", workers=addresses, max_workers=max_workers)
+        with pytest.raises(InvalidParameterError, match="max_workers="):
+            MapReduceRuntime(backend="distributed", workers=addresses, max_workers=8)
+        with pytest.raises(InvalidParameterError, match="max_workers="):
+            MapReduceKCenter(
+                2, backend="distributed", workers=addresses, max_workers=8
+            ).fit(np.zeros((8, 2)))
+
+    def test_serial_pool_size_rejected(self):
+        # The serial backend runs one reducer at a time; a pool of 8 must not be dropped.
+        assert resolve_backend("serial", max_workers=1).name == "serial"
+        with pytest.raises(InvalidParameterError, match="max_workers=8"):
+            resolve_backend("serial", max_workers=8)
+        with pytest.raises(InvalidParameterError, match="max_workers=8"):
+            MapReduceRuntime(backend="serial", max_workers=8)
+        with pytest.raises(InvalidParameterError, match="max_workers=8"):
+            MapReduceKCenterOutliers(
+                2, 1, backend="serial", max_workers=8
+            ).fit(np.zeros((8, 2)))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown backend"):
@@ -104,7 +145,7 @@ class TestRoundEquivalence:
     def test_outputs_identical_across_backends(self, tasks):
         reference = None
         for name in BACKENDS:
-            with MapReduceRuntime(backend=name, max_workers=2) as runtime:
+            with MapReduceRuntime(backend=name, max_workers=POOL_SIZE[name]) as runtime:
                 output = runtime.execute_round(tasks, summing_reducer)
             if reference is None:
                 reference = output
@@ -114,7 +155,7 @@ class TestRoundEquivalence:
     def test_stats_identical_modulo_timings(self, tasks):
         recorded = {}
         for name in BACKENDS:
-            with MapReduceRuntime(backend=name, max_workers=2) as runtime:
+            with MapReduceRuntime(backend=name, max_workers=POOL_SIZE[name]) as runtime:
                 runtime.execute_round(tasks, summing_reducer)
                 stats = runtime.stats.rounds[0]
                 recorded[name] = (
@@ -142,7 +183,7 @@ class TestRoundEquivalence:
             buffer.append(data)
             shared = buffer.finalize()
             try:
-                with MapReduceRuntime(backend=name, max_workers=2) as runtime:
+                with MapReduceRuntime(backend=name, max_workers=POOL_SIZE[name]) as runtime:
                     reducer = partial(shared_lookup_reducer, points=shared)
                     output = runtime.execute_round(tasks, reducer)
             finally:
@@ -247,13 +288,71 @@ class TestBackendLifecycle:
             backend.close()
 
 
+class TestUsableCores:
+    def test_one_core_affinity_sizes_pools_and_budgets(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(backends, "_openblas", lambda: _fake_openblas([]))
+        assert usable_cores() == 1
+        for name in ("threads", "processes"):
+            assert resolve_backend(name).max_workers == 1
+        assert ProcessBackend()._blas_budget(8) == 1
+        assert ProcessBackend(2)._blas_budget(1) == 1
+
+    def test_budget_splits_the_cores_among_busy_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(backends, "_openblas", lambda: _fake_openblas([]))
+        assert ProcessBackend(2)._blas_budget(8) == 4
+        assert ProcessBackend(2)._blas_budget(1) == 8
+        assert ProcessBackend(3)._blas_budget(8) == 2
+        assert ProcessBackend(16)._blas_budget(16) == 1
+
+    def test_no_known_setter_means_no_budget(self, monkeypatch):
+        monkeypatch.setattr(backends, "_openblas", lambda: ())
+        assert ProcessBackend(2)._blas_budget(8) is None
+        backends.set_blas_threads(1)
+        assert blas_threads() is None
+
+
+class TestBlasBudget:
+    """Process-pool reducers run under a per-round BLAS budget; nothing else is pinned."""
+
+    @pytest.mark.skipif(blas_threads() is None, reason="no known OpenBLAS is loaded")
+    def test_process_workers_run_under_the_round_budget(self):
+        with MapReduceRuntime(backend="processes", max_workers=2) as runtime:
+            wide = runtime.execute_round([(key, key) for key in range(8)], blas_threads_reducer)
+            narrow = runtime.execute_round([(0, 0)], blas_threads_reducer)
+            recorded = [stats.blas_threads for stats in runtime.stats.rounds]
+        assert wide == [max(1, usable_cores() // 2)] * 8
+        assert narrow == [usable_cores()]
+        assert recorded == [wide[0], narrow[0]]
+
+    def test_coordinator_count_unchanged(self, medium_blobs):
+        before = blas_threads()
+        for name in ("processes", "threads"):
+            MapReduceKCenter(
+                6, ell=4, coreset_multiplier=2, random_state=42, backend=name, max_workers=2
+            ).fit(medium_blobs)
+            assert blas_threads() == before
+
+    def test_in_process_backends_never_pin(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(backends, "_openblas", lambda: _fake_openblas(calls))
+        for name in ("serial", "threads"):
+            with MapReduceRuntime(backend=name, max_workers=POOL_SIZE[name]) as runtime:
+                runtime.execute_round(residue_tasks(range(40)), summing_reducer)
+                assert runtime.stats.rounds[0].blas_threads is None
+        assert calls == []
+
+
 class TestSolverEquivalence:
     """MapReduce drivers must give identical solutions on every backend."""
 
     def test_mr_kcenter(self, medium_blobs):
         kwargs = dict(ell=4, coreset_multiplier=2, random_state=42)
         results = {
-            name: MapReduceKCenter(6, backend=name, max_workers=2, **kwargs).fit(medium_blobs)
+            name: MapReduceKCenter(
+                6, backend=name, max_workers=POOL_SIZE[name], **kwargs
+            ).fit(medium_blobs)
             for name in BACKENDS
         }
         reference = results["serial"]
@@ -269,7 +368,9 @@ class TestSolverEquivalence:
         z = blobs_with_outliers.n_outliers
         kwargs = dict(ell=4, coreset_multiplier=2, random_state=42)
         results = {
-            name: MapReduceKCenterOutliers(5, z, backend=name, max_workers=2, **kwargs).fit(data)
+            name: MapReduceKCenterOutliers(
+                5, z, backend=name, max_workers=POOL_SIZE[name], **kwargs
+            ).fit(data)
             for name in BACKENDS
         }
         reference = results["serial"]
@@ -287,7 +388,9 @@ class TestSolverEquivalence:
             include_log_term=False, random_state=7,
         )
         results = {
-            name: MapReduceKCenterOutliers(5, z, backend=name, max_workers=2, **kwargs).fit(data)
+            name: MapReduceKCenterOutliers(
+                5, z, backend=name, max_workers=POOL_SIZE[name], **kwargs
+            ).fit(data)
             for name in BACKENDS
         }
         reference = results["serial"]

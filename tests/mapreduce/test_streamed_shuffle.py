@@ -27,6 +27,8 @@ from repro.mapreduce import (
 )
 
 BACKENDS = ("serial", "threads", "processes")
+#: Two workers on a pool backend; the serial backend takes no pool size above 1.
+POOL_SIZE = {"serial": 1, "threads": 2, "processes": 2}
 STORAGE_TIERS = ("memory", "shared", "disk")
 
 
@@ -127,7 +129,7 @@ class TestPartitionBuffer:
 class TestShuffleStream:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_partitions_reconstruct_input(self, backend, medium_blobs):
-        with MapReduceRuntime(backend=backend, max_workers=2) as runtime:
+        with MapReduceRuntime(backend=backend, max_workers=POOL_SIZE[backend]) as runtime:
             router = ChunkRouter(5, "round_robin")
             parts = runtime.shuffle_stream(_chunks(medium_blobs, 97), router)
             assert router.points_routed == sum(map(len, parts)) == medium_blobs.shape[0]
@@ -139,7 +141,7 @@ class TestShuffleStream:
         from repro.mapreduce import split_contiguous
 
         parts = split_contiguous(medium_blobs.shape[0], 4)
-        with MapReduceRuntime(backend=backend, max_workers=2) as runtime:
+        with MapReduceRuntime(backend=backend, max_workers=POOL_SIZE[backend]) as runtime:
             router = ChunkRouter(4, "contiguous", n_total=medium_blobs.shape[0])
             shuffled = runtime.shuffle_stream(_chunks(medium_blobs, 128), router)
             for part, expected in zip(shuffled, parts):

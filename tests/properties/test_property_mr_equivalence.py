@@ -30,6 +30,11 @@ from repro.exceptions import InvalidParameterError
 from repro.streaming import ArrayStream, GeneratorStream
 
 BACKENDS = ("serial", "threads", "processes")
+
+
+def _pool_size(backend):
+    """Two workers on a pool backend; the serial backend takes no pool size above 1."""
+    return 1 if backend == "serial" else 2
 STORAGE_TIERS = ("memory", "shared", "disk")
 CHUNK_SIZES = (64, 251, 4096)
 
@@ -60,14 +65,14 @@ def outliers_reference(dataset):
 def _kcenter(backend):
     return MapReduceKCenter(
         6, ell=4, coreset_multiplier=3, partitioning="random",
-        random_state=5, backend=backend, max_workers=2,
+        random_state=5, backend=backend, max_workers=_pool_size(backend),
     )
 
 
 def _outliers(backend, **kwargs):
     return MapReduceKCenterOutliers(
         5, 40, ell=4, coreset_multiplier=3, include_log_term=False,
-        random_state=5, backend=backend, max_workers=2, **kwargs,
+        random_state=5, backend=backend, max_workers=_pool_size(backend), **kwargs,
     )
 
 
