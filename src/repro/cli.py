@@ -358,7 +358,7 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 def _worker(args: argparse.Namespace) -> int:
     """Run a distributed MapReduce worker daemon until interrupted."""
-    return serve(args.listen, spill_dir=args.spill_dir, blas_threads=args.blas_threads)
+    return serve(args.listen, spill_dir=args.spill_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

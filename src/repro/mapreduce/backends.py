@@ -17,9 +17,9 @@ provided here:
 * :class:`ProcessBackend` (``"processes"``) — runs reducers on a
   :class:`~concurrent.futures.ProcessPoolExecutor`. Sidesteps the GIL
   entirely, so pure-Python reducer work also scales, at the price of
-  pickling the reducer callable and each task's value. Each reducer runs
-  under a per-round BLAS thread budget set inside its worker process
-  (see :func:`set_blas_threads`), so the pool does not oversubscribe the
+  pickling the reducer callable and each task's value. Each worker
+  process runs under a BLAS thread budget set once when it starts (see
+  :func:`set_blas_threads`), so the pool does not oversubscribe the
   cores with OpenBLAS threads; the coordinator keeps its own count.
 
 Orthogonal to *where reducers run* is *where the shuffle's partition rows
@@ -149,7 +149,8 @@ def set_blas_threads(n_threads: int) -> None:
     """Set this process's OpenBLAS thread count (a no-op when no setter is known).
 
     The count is process-wide, so only a process whose every BLAS call
-    should obey it may set it: a process-pool worker, or a worker daemon.
+    should obey it may set it: a process-pool worker, never the
+    coordinator.
     """
     for setter, _ in _openblas():
         setter(int(n_threads))
@@ -161,19 +162,15 @@ def blas_threads() -> int | None:
     return int(libraries[0][1]()) if libraries else None
 
 
-def _timed_reduce(reducer, key, value, blas_budget=None):
+def _timed_reduce(reducer, key, value):
     """Run ``reducer(key, value)`` and measure the wall-clock time spent inside it.
 
     The only timer on the MapReduce path and the only place a reducer
     runs. Module-level so that the process backend can submit it to a
     :class:`~concurrent.futures.ProcessPoolExecutor`; the timing is taken
     where the reducer runs, so it measures reducer compute, not
-    serialisation. A ``blas_budget`` pins the BLAS thread count of the
-    (worker) process first; it is ``None`` on every backend whose
-    reducers share the coordinator's process.
+    serialisation.
     """
-    if blas_budget is not None:
-        set_blas_threads(blas_budget)
     start = time.perf_counter()
     output = reducer(key, value)
     return output, time.perf_counter() - start
@@ -635,6 +632,11 @@ class ExecutorBackend(Protocol):
     """
 
     name: str
+    #: BLAS thread count the backend sets for its reducers, or ``None``
+    #: when they run under the coordinator's own count;
+    #: :attr:`RoundStats.blas_threads
+    #: <repro.mapreduce.runtime.RoundStats.blas_threads>` records it.
+    blas_threads: int | None
 
     def run_reducers(
         self, reducer, tasks: Sequence[tuple[Hashable, object]]
@@ -654,6 +656,7 @@ class SerialBackend:
     #: Reducers share the coordinator's address space; shuffle partition
     #: buffers can live on the plain heap.
     default_storage = "memory"
+    blas_threads = None
 
     def run_reducers(self, reducer, tasks):
         return [_timed_reduce(reducer, key, value) for key, value in tasks]
@@ -666,9 +669,7 @@ class _PoolBackend:
     """A backend whose reducers run on a lazily created executor pool."""
 
     _executor: type  # the concurrent.futures executor class
-    #: BLAS thread budget applied to the last round's reducers (``None``:
-    #: not pinned); :class:`~repro.mapreduce.runtime.RoundStats` records it.
-    last_blas_threads = None
+    blas_threads = None
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = _check_workers(max_workers)
@@ -678,17 +679,14 @@ class _PoolBackend:
     def max_workers(self) -> int:
         return self._max_workers
 
-    def _blas_budget(self, n_tasks: int) -> int | None:
-        """BLAS threads per reducer for a round of ``n_tasks``; ``None`` leaves BLAS alone."""
-        return None
+    def _new_pool(self):
+        return self._executor(max_workers=self._max_workers)
 
     def run_reducers(self, reducer, tasks):
         if self._pool is None:
-            self._pool = self._executor(max_workers=self._max_workers)
-        budget = self.last_blas_threads = self._blas_budget(len(tasks))
+            self._pool = self._new_pool()
         futures = [
-            self._pool.submit(_timed_reduce, reducer, key, value, budget)
-            for key, value in tasks
+            self._pool.submit(_timed_reduce, reducer, key, value) for key, value in tasks
         ]
         return [future.result() for future in futures]
 
@@ -723,14 +721,18 @@ class ProcessBackend(_PoolBackend):
     Partitions on the file-backed tiers pickle as a path that the worker
     memory-maps, so a task carries no row data.
 
-    Each round gives its reducers a BLAS thread budget of
-    ``max(1, usable_cores() // min(max_workers, n_tasks))``, set inside
-    the worker process before the reducer runs. A round with more tasks
-    than workers thus runs one BLAS thread per worker instead of every
-    worker inheriting OpenBLAS's full count (which oversubscribes the
-    cores and makes GEMV-shaped kernels pay thread-sync costs), while a
-    one-task round gets every core. The coordinator's own BLAS thread
-    count is never changed.
+    Each worker process sets its BLAS thread count to
+    :attr:`blas_threads` when it starts: the usable cores split evenly
+    among the workers, ``max(1, usable_cores() // max_workers)``, and
+    never more than the coordinator's own count (so a host that limited
+    BLAS threads keeps its limit). Without the budget every forked
+    worker inherits the coordinator's full count, which oversubscribes
+    the cores and makes GEMV-shaped kernels pay thread-sync costs. The
+    budget is fixed per pool: a per-round budget that gave one-task
+    rounds every core measured no faster, since those rounds take about
+    a millisecond in the benchmarked jobs. The coordinator's count is
+    never changed. ``blas_threads`` is ``None`` when no known OpenBLAS is
+    loaded; the workers then run unpinned.
     """
 
     name = "processes"
@@ -739,10 +741,20 @@ class ProcessBackend(_PoolBackend):
     default_storage = "shared"
     _executor = ProcessPoolExecutor
 
-    def _blas_budget(self, n_tasks):
-        if not _openblas():
-            return None
-        return max(1, usable_cores() // min(self._max_workers, max(1, n_tasks)))
+    def __init__(self, max_workers: int | None = None) -> None:
+        super().__init__(max_workers)
+        coordinator = blas_threads()
+        if coordinator is not None:
+            self.blas_threads = min(coordinator, max(1, usable_cores() // self._max_workers))
+
+    def _new_pool(self):
+        if self.blas_threads is None:
+            return super()._new_pool()
+        return self._executor(
+            max_workers=self._max_workers,
+            initializer=set_blas_threads,
+            initargs=(self.blas_threads,),
+        )
 
 
 _BACKENDS = {

@@ -173,6 +173,8 @@ class DistributedBackend:
     #: Workers live in other processes (possibly other hosts); shuffle
     #: partition buffers default to the by-value memory tier.
     default_storage = "memory"
+    #: Daemons run reducers under their own BLAS thread count.
+    blas_threads = None
 
     def __init__(
         self,
@@ -421,9 +423,10 @@ class LocalCluster:
     thread — real TCP sockets and real pickling, but deterministic and
     self-contained. The workers live in the coordinator's process, so
     their reducers share the coordinator's BLAS threads and are never
-    pinned (a pin would be process-wide); daemons started with ``repro
-    worker --blas-threads N`` are the way to budget BLAS per worker.
-    Use as a context manager::
+    pinned (a pin would be process-wide). Separate ``repro worker``
+    daemons each have their own count, which the host can limit when it
+    starts them (see :mod:`repro.mapreduce.worker`). Use as a context
+    manager::
 
         with LocalCluster(2) as cluster:
             solver = MapReduceKCenter(5, workers=cluster.addresses)

@@ -36,8 +36,8 @@ the tasks handed to an
   module-level functions (or partials of them); in exchange the GIL no
   longer serialises pure-Python reducer work. Shuffled partitions live
   in files under ``/dev/shm`` (the ``"shared"`` storage tier), so tasks
-  reference them by path instead of copying them. Each worker runs its
-  reducer under the round's BLAS thread budget
+  reference them by path instead of copying them. Each worker process
+  runs under a BLAS thread budget set when it starts
   (:attr:`RoundStats.blas_threads`), so the pool does not oversubscribe
   the cores with OpenBLAS threads.
 * ``backend="distributed"`` — reducers run on remote worker daemons over
@@ -225,9 +225,9 @@ class RoundStats:
     reducer_times:
         Wall-clock seconds spent inside each reducer, keyed by task key.
     blas_threads:
-        BLAS thread budget the backend set for each reducer of the round
-        (the process backend's per-round budget), or ``None`` when the
-        backend left BLAS unpinned.
+        BLAS thread count the backend set for the round's reducers (the
+        process backend's per-worker budget), or ``None`` when they ran
+        under the coordinator's own count.
     """
 
     round_index: int
@@ -682,7 +682,7 @@ class MapReduceRuntime:
 
         results = self._backend.run_reducers(reducer, tasks)
         stats.reducer_times = {key: elapsed for (key, _), (_, elapsed) in zip(tasks, results)}
-        stats.blas_threads = getattr(self._backend, "last_blas_threads", None)
+        stats.blas_threads = self._backend.blas_threads
 
         # Distributed rounds additionally report where each task ran and
         # how many payload bytes crossed the wire; see JobStats.

@@ -9,10 +9,11 @@ One daemon serves any number of jobs, one connection per job; the
 in-process :class:`~repro.mapreduce.cluster.LocalCluster` harness spawns
 the same server on loopback sockets for deterministic tests.
 
-``--blas-threads N`` pins the daemon's OpenBLAS thread count once at
-start. The default leaves it unpinned, which suits one daemon per host;
-pin when several daemons share a host's cores (e.g. ``N`` = cores per
-daemon).
+A daemon runs its reducers under its own OpenBLAS thread count, all of
+the host's cores by default, which suits one daemon per host. When
+several daemons share a host's cores, give each its share when starting
+it, e.g. ``OPENBLAS_NUM_THREADS=2 repro worker ...`` or ``taskset -c
+0,1 repro worker ...``.
 
 Wire protocol
 -------------
@@ -21,7 +22,7 @@ Every frame is a 9-byte header — a 1-byte opcode followed by an unsigned
 opcodes (coordinator to worker):
 
 * ``h`` **HELLO** — empty payload; the worker replies OK with pickled
-  metadata (pid, address, spill directory, BLAS thread count).
+  metadata (pid, address, spill directory).
 * ``r`` **REDUCER** — pickled reducer callable; becomes the connection's
   current reducer (sent once per round, not once per task). Replies OK.
 * ``p`` **PUT** — pickled ``(origin_path, file_bytes)``: a partition
@@ -383,7 +384,6 @@ class WorkerServer:
                         "pid": os.getpid(),
                         "address": self.address,
                         "spill_dir": self._spill_dir,
-                        "blas_threads": _backends.blas_threads(),
                     }
                     send_frame(conn, OP_OK, pickle.dumps(info))
                 elif opcode == OP_REDUCER:
@@ -456,22 +456,14 @@ class WorkerServer:
         aliases.clear()
 
 
-def serve(
-    listen: str, *, spill_dir: str | None = None, blas_threads: int | None = None
-) -> int:
+def serve(listen: str, *, spill_dir: str | None = None) -> int:
     """Run a worker daemon on ``listen`` (``HOST:PORT``) until interrupted.
 
-    ``blas_threads`` pins the daemon process's OpenBLAS thread count
-    before it serves (``None`` leaves it unpinned). Handles SIGTERM like
-    Ctrl-C: the daemon drops its connections and removes its owned spill
-    directory before exiting, so supervisors that stop workers with a
-    plain ``kill`` leave no orphans behind.
+    Handles SIGTERM like Ctrl-C: the daemon drops its connections and
+    removes its owned spill directory before exiting, so supervisors
+    that stop workers with a plain ``kill`` leave no orphans behind.
     """
     host, port = parse_worker_address(listen)
-    if blas_threads is not None:
-        if blas_threads < 1:
-            raise InvalidParameterError("blas_threads must be >= 1")
-        _backends.set_blas_threads(blas_threads)
     server = WorkerServer(host, port, spill_dir=spill_dir)
     print(f"repro worker listening on {server.address}", flush=True)
     previous_handler = None
@@ -508,11 +500,10 @@ def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for spill files received from coordinators "
              "(default: a worker-owned temporary directory)",
     )
-    parser.add_argument(
-        "--blas-threads", type=int, default=None, metavar="N",
-        help="pin the daemon's OpenBLAS thread count to N at start (default: "
-             "unpinned, which suits one daemon per host; with several daemons "
-             "on one host, give each its share of the cores)",
+    parser.epilog = (
+        "The daemon's reducers use all of the host's cores for BLAS. With several "
+        "daemons on one host, give each its share when starting it, e.g. with "
+        "OPENBLAS_NUM_THREADS=N or taskset."
     )
 
 
@@ -524,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     add_worker_arguments(parser)
     args = parser.parse_args(argv)
-    return serve(args.listen, spill_dir=args.spill_dir, blas_threads=args.blas_threads)
+    return serve(args.listen, spill_dir=args.spill_dir)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

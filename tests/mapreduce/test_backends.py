@@ -60,9 +60,9 @@ def blas_threads_reducer(key, value):
     return blas_threads()
 
 
-def _fake_openblas(calls):
-    """A stand-in for the loaded OpenBLAS whose setter records every pin."""
-    return ((calls.append, lambda: 0),)
+def _fake_openblas(calls, count=8):
+    """A stand-in for a loaded OpenBLAS running ``count`` threads; the setter records every pin."""
+    return ((calls.append, lambda: count),)
 
 
 class TestResolveBackend:
@@ -295,36 +295,43 @@ class TestUsableCores:
         assert usable_cores() == 1
         for name in ("threads", "processes"):
             assert resolve_backend(name).max_workers == 1
-        assert ProcessBackend()._blas_budget(8) == 1
-        assert ProcessBackend(2)._blas_budget(1) == 1
+        assert ProcessBackend().blas_threads == 1
 
-    def test_budget_splits_the_cores_among_busy_workers(self, monkeypatch):
+    def test_budget_splits_the_cores_among_the_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(backends, "_openblas", lambda: _fake_openblas([]))
-        assert ProcessBackend(2)._blas_budget(8) == 4
-        assert ProcessBackend(2)._blas_budget(1) == 8
-        assert ProcessBackend(3)._blas_budget(8) == 2
-        assert ProcessBackend(16)._blas_budget(16) == 1
+        assert ProcessBackend(1).blas_threads == 8
+        assert ProcessBackend(2).blas_threads == 4
+        assert ProcessBackend(3).blas_threads == 2
+        assert ProcessBackend(16).blas_threads == 1
+
+    def test_budget_never_exceeds_the_coordinators_count(self, monkeypatch):
+        # A host that limited BLAS to one thread keeps that limit in the workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(backends, "_openblas", lambda: _fake_openblas([], count=1))
+        assert ProcessBackend(1).blas_threads == 1
+        assert ProcessBackend(2).blas_threads == 1
 
     def test_no_known_setter_means_no_budget(self, monkeypatch):
         monkeypatch.setattr(backends, "_openblas", lambda: ())
-        assert ProcessBackend(2)._blas_budget(8) is None
+        assert ProcessBackend(2).blas_threads is None
         backends.set_blas_threads(1)
         assert blas_threads() is None
 
 
 class TestBlasBudget:
-    """Process-pool reducers run under a per-round BLAS budget; nothing else is pinned."""
+    """Process-pool workers run under a BLAS budget; nothing else is pinned."""
 
     @pytest.mark.skipif(blas_threads() is None, reason="no known OpenBLAS is loaded")
-    def test_process_workers_run_under_the_round_budget(self):
+    def test_process_workers_run_under_the_budget(self):
+        expected = min(blas_threads(), max(1, usable_cores() // 2))
         with MapReduceRuntime(backend="processes", max_workers=2) as runtime:
             wide = runtime.execute_round([(key, key) for key in range(8)], blas_threads_reducer)
             narrow = runtime.execute_round([(0, 0)], blas_threads_reducer)
             recorded = [stats.blas_threads for stats in runtime.stats.rounds]
-        assert wide == [max(1, usable_cores() // 2)] * 8
-        assert narrow == [usable_cores()]
-        assert recorded == [wide[0], narrow[0]]
+        assert wide == [expected] * 8
+        assert narrow == [expected]
+        assert recorded == [expected, expected]
 
     def test_coordinator_count_unchanged(self, medium_blobs):
         before = blas_threads()
@@ -334,13 +341,17 @@ class TestBlasBudget:
             ).fit(medium_blobs)
             assert blas_threads() == before
 
-    def test_in_process_backends_never_pin(self, monkeypatch):
+    def test_only_process_workers_pin(self, monkeypatch):
+        # The setter records pins made in this process; a pool worker's pin
+        # happens in the worker and leaves the list empty here.
         calls = []
         monkeypatch.setattr(backends, "_openblas", lambda: _fake_openblas(calls))
-        for name in ("serial", "threads"):
+        for name in ("serial", "threads", "processes"):
             with MapReduceRuntime(backend=name, max_workers=POOL_SIZE[name]) as runtime:
                 runtime.execute_round(residue_tasks(range(40)), summing_reducer)
-                assert runtime.stats.rounds[0].blas_threads is None
+                recorded = runtime.stats.rounds[0].blas_threads
+            assert recorded == runtime.backend.blas_threads
+            assert (recorded is None) == (name != "processes")
         assert calls == []
 
 

@@ -37,7 +37,6 @@ from repro.mapreduce import (
     parse_worker_address,
     resolve_backend,
 )
-from repro.mapreduce.backends import blas_threads
 from repro.mapreduce.worker import (
     OP_HELLO,
     OP_OK,
@@ -139,8 +138,6 @@ class TestWorkerServer:
                 info = pickle.loads(payload)
                 assert info["pid"] == os.getpid()
                 assert info["address"] == server.address
-                # An in-process server shares (and never pins) the caller's BLAS.
-                assert info["blas_threads"] == blas_threads()
 
     def test_shutdown_closes_listener(self):
         server = WorkerServer()
@@ -224,35 +221,6 @@ class TestWorkerDaemonSubprocess:
                 process.terminate()
             for process in daemons:
                 process.wait(timeout=10)
-
-    def test_blas_threads_option_pins_the_daemon(self):
-        import repro
-
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.mapreduce.worker",
-             "--listen", "127.0.0.1:0", "--blas-threads", "1"],
-            stdout=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            host, port = parse_worker_address(process.stdout.readline().strip().rsplit(" ", 1)[-1])
-            with socket.create_connection((host, port)) as sock:
-                send_frame(sock, OP_HELLO)
-                opcode, payload = recv_frame(sock)
-            assert opcode == OP_OK
-            expected = None if blas_threads() is None else 1
-            assert pickle.loads(payload)["blas_threads"] == expected
-        finally:
-            process.terminate()
-            process.wait(timeout=10)
-
-    def test_blas_threads_option_rejects_zero(self):
-        from repro.mapreduce.worker import main
-
-        with pytest.raises(InvalidParameterError, match="blas_threads"):
-            main(["--listen", "127.0.0.1:0", "--blas-threads", "0"])
 
     def test_sigterm_cleans_owned_spill_dir(self):
         import repro
